@@ -38,10 +38,8 @@ answered as *one batch* through the staged query pipeline
 ``--explain`` prints each query's full stage trace (per-stage wall time,
 the query plan, the strategy the df-skew cost model chose, cache and
 shard-routing counters, and rejected candidate definitions).  ``compact``
-folds delta segments back into clean bases — a directory's
-collection-level journal first (rewriting a fresh journal-free
-generation), then any per-file segments trailing individual snapshot
-files.  ``bench-diff`` compares two directories of
+folds a collection directory's delta journal back into clean bases
+(rewriting a fresh journal-free generation).  ``bench-diff`` compares two directories of
 ``BENCH_*.json`` benchmark reports (the perf-regression check CI runs
 nightly — see ``repro.bench.regression``).  ``--shards N`` scores the
 flat collection index as N hash-partitioned shards in parallel,
@@ -149,22 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     compact = commands.add_parser(
         "compact",
-        help="fold delta segments — the collection journal and per-file "
-             "segments — into clean snapshot bases")
+        help="fold a collection directory's delta journal into clean "
+             "snapshot bases")
     compact.add_argument(
         "path",
-        help="a generation directory written by `save` (folds the "
-             "collection journal, then compacts every *.snap in it) or "
-             "a single snapshot file")
-
-    migrate = commands.add_parser(
-        "migrate",
-        help="convert v1/v2 snapshot files to the v3 binary columnar "
-             "container in place (atomic swap; v3 files are left alone)")
-    migrate.add_argument(
-        "path",
-        help="a generation directory written by `save` (migrates every "
-             "*.snap in it) or a single snapshot file")
+        help="a collection directory written by `save`")
 
     bench_diff = commands.add_parser(
         "bench-diff",
@@ -460,84 +447,17 @@ def _command_save(args) -> int:
 def _command_compact(args) -> int:
     from pathlib import Path
 
-    from repro.ir.persist import (
-        compact_snapshot,
-        load_document_store,
-        read_snapshot_header,
-    )
+    from repro.core.store import CollectionStore
 
     target = Path(args.path)
-    if target.is_dir() and (target / "collection.json").exists():
-        # Fold the collection-level delta journal first: this rewrites
-        # every snapshot as a clean full-generation base, so the
-        # per-file pass below only has legacy per-file segments left.
-        from repro.core.store import CollectionStore
-
-        store = CollectionStore(target)
-        segments = store.compact()
-        generation = store.manifest().get("generation", "-")
-        print(f"collection.json: folded {segments} journal delta "
-              f"segment(s), generation {generation}")
-    files = sorted(target.glob("*.snap")) if target.is_dir() else [target]
-    if not files:
-        print(f"no snapshot files found in {target}")
+    if not (target / "collection.json").is_file():
+        print(f"{target} is not a collection directory (no collection.json)")
         return 1
-    # One generation shares one document store; parse it once, not once
-    # per snapshot file.
-    stores = {}
-    for path in files:
-        store = None
-        store_name = read_snapshot_header(path).get("docstore")
-        if store_name is not None:
-            store_path = (path.parent / store_name).resolve()
-            if store_path not in stores:
-                stores[store_path] = load_document_store(store_path)
-            store = stores[store_path]
-        before = path.stat().st_size
-        segments = compact_snapshot(path, store=store)
-        after = path.stat().st_size
-        print(f"{path.name}: folded {segments} delta segment(s), "
-              f"{before} -> {after} bytes")
-    return 0
-
-
-def _command_migrate(args) -> int:
-    from pathlib import Path
-
-    from repro.ir.persist import (
-        FORMAT_VERSION,
-        compact_snapshot,
-        load_document_store,
-        read_snapshot_header,
-    )
-
-    target = Path(args.path)
-    files = sorted(target.glob("*.snap")) if target.is_dir() else [target]
-    if not files:
-        print(f"no snapshot files found in {target}")
-        return 1
-    stores = {}
-    migrated = 0
-    for path in files:
-        header = read_snapshot_header(path)
-        old_version = header.get("format_version")
-        if old_version == FORMAT_VERSION:
-            print(f"{path.name}: already v{FORMAT_VERSION}, skipped")
-            continue
-        store = None
-        store_name = header.get("docstore")
-        if store_name is not None:
-            store_path = (path.parent / store_name).resolve()
-            if store_path not in stores:
-                stores[store_path] = load_document_store(store_path)
-            store = stores[store_path]
-        before = path.stat().st_size
-        compact_snapshot(path, store=store)
-        after = path.stat().st_size
-        print(f"{path.name}: v{old_version} -> v{FORMAT_VERSION}, "
-              f"{before} -> {after} bytes")
-        migrated += 1
-    print(f"migrated {migrated} of {len(files)} file(s)")
+    store = CollectionStore(target)
+    segments = store.compact()
+    generation = store.manifest().get("generation", "-")
+    print(f"collection.json: folded {segments} journal delta "
+          f"segment(s), generation {generation}")
     return 0
 
 
@@ -862,7 +782,6 @@ _COMMANDS = {
     "search": _command_search,
     "save": _command_save,
     "compact": _command_compact,
-    "migrate": _command_migrate,
     "bench-diff": _command_bench_diff,
     "load": _command_load,
     "derive": _command_derive,

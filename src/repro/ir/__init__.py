@@ -22,8 +22,6 @@ from repro.ir.index import (
 )
 from repro.ir.persist import (
     DocumentStore,
-    SnapshotJournal,
-    compact_snapshot,
     load_document_store,
     load_snapshot,
     open_scoring_snapshot,
@@ -66,9 +64,7 @@ __all__ = [
     "open_scoring_snapshot",
     "save_document_store",
     "load_document_store",
-    "compact_snapshot",
     "DocumentStore",
-    "SnapshotJournal",
     "ShardedTopK",
     "TermBloomFilter",
     "shard_snapshot",

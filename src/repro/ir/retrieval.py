@@ -45,7 +45,7 @@ shard counts, executors, and Bloom routing (both input rankings are —
 cosine is per-document, so per-shard vector partitions merged with
 :func:`~repro.ir.topk.merge_ranked` equal the global scan); and an index
 with no vectors available (a snapshot loaded from a file saved without
-vector extents, or migrated from v1/v2) **degrades gracefully**: the
+vector extents) **degrades gracefully**: the
 searcher warns once, counts the event in
 :attr:`Searcher.hybrid_fallbacks`, and serves the lexical ranking —
 never an exception.
@@ -466,7 +466,7 @@ class Searcher:
             warnings.warn(
                 "hybrid retrieval requested but the index has no vector "
                 "extents for this embedder (snapshot saved without "
-                "vectors, or migrated from v1/v2 — re-save to add them); "
+                "vectors — re-save to add them); "
                 "serving lexical results instead",
                 RuntimeWarning, stacklevel=2)
 

@@ -44,7 +44,7 @@ shard would have contributed an empty list); false positives cost only
 wasted work.  Routing statistics accumulate in
 :attr:`ShardedTopK.routing_stats`.
 
-Shard snapshots can themselves be persisted (one version-2 file per shard
+Shard snapshots can themselves be persisted (one snapshot file per shard
 with its Bloom filter in the header — see :mod:`repro.ir.persist` and
 :meth:`~repro.core.store.CollectionStore.save`), and a multi-process
 server can load only its partition; :meth:`ShardedTopK.from_shards`

@@ -223,26 +223,17 @@ class TestCompactCommand:
         capsys.readouterr()
         assert main(["compact", out_dir]) == 0
         out = capsys.readouterr().out
-        assert "folded 0 delta segment(s)" in out
+        assert "folded 0 journal delta segment(s)" in out
         # The directory still loads after compaction.
         assert main(["--scale", "0.1", "load", out_dir]) == 0
 
-    def test_compact_single_journaled_file(self, capsys, tmp_path):
-        from repro.ir.analysis import Analyzer
-        from repro.ir.documents import Document
-        from repro.ir.index import InvertedIndex
-        from repro.ir.persist import SnapshotJournal, delta_segment_count
-
-        path = tmp_path / "journal.snap"
-        index = InvertedIndex(Analyzer(stem=False))
-        index.add(Document.create("a", {"body": "star wars"}))
-        SnapshotJournal(index, path)
-        index.add(Document.create("b", {"body": "ocean"}))
-        assert delta_segment_count(path) == 1
-        assert main(["compact", str(path)]) == 0
-        assert "folded 1 delta segment(s)" in capsys.readouterr().out
-        assert delta_segment_count(path) == 0
-
     def test_compact_empty_directory(self, capsys, tmp_path):
-        assert main(["compact", str(tmp_path)]) == 1
-        assert "no snapshot files" in capsys.readouterr().out
+        # Only collection directories compact: an empty directory and a
+        # bare snapshot file both exit 1 with a one-line message.
+        bare = tmp_path / "bare.snap"
+        bare.write_bytes(b"")
+        for target in (tmp_path, bare):
+            assert main(["compact", str(target)]) == 1
+            out = capsys.readouterr().out
+            assert "no collection.json" in out
+            assert len(out.splitlines()) == 1

@@ -481,41 +481,6 @@ class TestSnapshotV2Layout:
                 unique_objects.add(id(document))
         assert len(unique_objects) == len(store)
 
-    def test_v1_generation_still_loads(self, mini_db, tmp_path):
-        # A directory written by the previous build: version-1 manifest,
-        # version-1 snapshot files with inline documents.
-        import json
-
-        from repro.ir.persist import save_snapshot_v1
-
-        collection = QunitCollection(mini_db, definitions())
-        out = tmp_path / "legacy"
-        out.mkdir()
-        save_snapshot_v1(collection.global_snapshot(), out / "global.snap")
-        names = {}
-        for name in sorted(collection.definitions):
-            save_snapshot_v1(collection.definition_index(name).snapshot(),
-                             out / f"def-{name}.snap")
-            names[name] = f"def-{name}.snap"
-        manifest = {
-            "magic": "qunits-collection",
-            "format_version": 1,
-            "analyzer": collection.analyzer.config(),
-            "database": collection._database_fingerprint(mini_db),
-            "max_instances_per_definition": None,
-            "definitions": [collection.definitions[name].to_dict()
-                            for name in sorted(collection.definitions)],
-            "snapshots": {"global": "global.snap", "definitions": names},
-        }
-        (out / "collection.json").write_text(json.dumps(manifest))
-
-        loaded = _load(mini_db, out)
-        for query in ("star wars", "person", "zzz"):
-            assert [(h.doc_id, h.score)
-                    for h in loaded.searcher().search(query, limit=4)] == \
-                   [(h.doc_id, h.score)
-                    for h in collection.searcher().search(query, limit=4)]
-
     def test_resave_prunes_stale_store_files(self, mini_db, tmp_path):
         import json
 

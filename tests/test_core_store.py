@@ -476,3 +476,20 @@ class TestManifestCompat:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError, match="version"):
             store.load(mini_db)
+
+    def test_version_1_manifest_rejected(self, mini_db, tmp_path):
+        # A directory from before the document store: the manifest is
+        # named and refused before any snapshot file is opened.
+        store = CollectionStore(tmp_path / "snap")
+        store.save(QunitCollection(mini_db, definitions()),
+                   SaveOptions(vectors=False))
+        manifest_path = store.path / "collection.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError) as excinfo:
+            store.load(mini_db)
+        message = str(excinfo.value)
+        assert "format version 1" in message
+        assert "version 3" in message
+        assert "cbc7f81" in message

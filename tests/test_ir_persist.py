@@ -12,17 +12,13 @@ from repro.ir.persist import (
     FORMAT_VERSION,
     V3_MAGIC,
     DocumentStore,
-    SnapshotJournal,
-    compact_snapshot,
-    delta_segment_count,
     load_document_store,
     load_snapshot,
     open_scoring_snapshot,
+    read_snapshot_doc_ids,
     read_snapshot_header,
     save_document_store,
     save_snapshot,
-    save_snapshot_v1,
-    save_snapshot_v2,
 )
 from repro.ir.retrieval import Searcher
 from repro.ir.scoring import Bm25Scorer, TfIdfScorer
@@ -51,13 +47,17 @@ def saved(tmp_path):
     return index, path
 
 
-@pytest.fixture()
-def saved_v2(tmp_path):
-    """A legacy JSON-lines (v2) file, for line-level corruption tests."""
-    index = build_index(BODIES)
-    path = tmp_path / "index.snap"
-    save_snapshot_v2(index.snapshot(), path)
-    return index, path
+#: Every way into a snapshot file; the header read stops before the
+#: columns region, the openers map the whole container.
+READERS = (load_snapshot, read_snapshot_header, read_snapshot_doc_ids,
+           open_scoring_snapshot)
+OPENERS = (load_snapshot, read_snapshot_doc_ids, open_scoring_snapshot)
+
+
+def _old_header(version: int) -> bytes:
+    """The header line of a JSON-lines snapshot from an older build."""
+    return json.dumps({"magic": "qunits-snapshot",
+                       "format_version": version}).encode() + b"\n"
 
 
 class TestRoundTrip:
@@ -131,20 +131,6 @@ class TestRejection:
         with pytest.raises(SnapshotError, match="cannot read"):
             load_snapshot(tmp_path / "nope.snap")
 
-    def test_truncated_file(self, saved_v2):
-        _index, path = saved_v2
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:-2]))  # drop a record + the footer
-        with pytest.raises(SnapshotError, match="truncated"):
-            load_snapshot(path)
-
-    def test_truncated_mid_line(self, saved_v2):
-        _index, path = saved_v2
-        content = path.read_text()
-        path.write_text(content[: len(content) - 7])
-        with pytest.raises(SnapshotError):
-            load_snapshot(path)
-
     def test_corrupted_byte(self, saved):
         _index, path = saved
         raw = bytearray(path.read_bytes())
@@ -152,16 +138,6 @@ class TestRejection:
         raw[offset] = ord("x") if raw[offset] != ord("x") else ord("y")
         path.write_bytes(bytes(raw))
         with pytest.raises(SnapshotError):
-            load_snapshot(path)
-
-    def test_format_version_mismatch(self, saved_v2):
-        _index, path = saved_v2
-        lines = path.read_text().splitlines(keepends=True)
-        header = json.loads(lines[0])
-        header["format_version"] = FORMAT_VERSION + 1
-        lines[0] = json.dumps(header) + "\n"
-        path.write_text("".join(lines))
-        with pytest.raises(SnapshotError, match="format version"):
             load_snapshot(path)
 
     def test_wrong_magic(self, saved):
@@ -176,25 +152,29 @@ class TestRejection:
         with pytest.raises(SnapshotError, match="JSON"):
             load_snapshot(path)
 
-    def test_checksum_valid_but_missing_header_key(self, saved_v2):
-        # A foreign writer can produce a checksummed file lacking required
-        # keys; that must surface as SnapshotError, never a raw KeyError.
-        import hashlib
-
-        _index, path = saved_v2
-        lines = path.read_text().splitlines(keepends=True)
-        header = json.loads(lines[0])
-        del header["index_version"]
-        lines[0] = json.dumps(header, separators=(",", ":")) + "\n"
-        digest = hashlib.sha256()
-        for line in lines[:-1]:
-            digest.update(line.encode("utf-8"))
-        footer = json.loads(lines[-1])
-        footer["sha256"] = digest.hexdigest()
-        lines[-1] = json.dumps(footer, separators=(",", ":")) + "\n"
-        path.write_text("".join(lines))
-        with pytest.raises(SnapshotError, match="missing required key"):
-            load_snapshot(path)
+    @pytest.mark.parametrize("rewrite, readers, named", [
+        pytest.param(lambda raw: _old_header(1), READERS,
+                     "format version 1", id="v1"),
+        pytest.param(lambda raw: _old_header(2), READERS,
+                     "format version 2", id="v2"),
+        pytest.param(lambda raw: raw + b'{"t":"delta"}\n', OPENERS,
+                     "14 bytes after the columns region", id="delta-tail"),
+        pytest.param(lambda raw: raw + b"x", OPENERS,
+                     "1 bytes after the columns region", id="stray-byte"),
+    ])
+    def test_older_files_rejected(self, saved, rewrite, readers, named):
+        # Files from older builds — JSON-lines v1/v2, or a v3 container
+        # with an in-file delta tail — are named and refused, never
+        # reinterpreted or silently cut back to their base.
+        _index, path = saved
+        path.write_bytes(rewrite(path.read_bytes()))
+        for reader in readers:
+            with pytest.raises(SnapshotError) as excinfo:
+                reader(path)
+            message = str(excinfo.value)
+            assert named in message
+            assert "version 3" in message
+            assert "cbc7f81" in message
 
     def test_unserializable_metadata_rejected_cleanly(self, tmp_path):
         index = InvertedIndex(Analyzer())
@@ -448,251 +428,6 @@ class TestDocstoreBackedSnapshots:
         assert header["format_version"] == FORMAT_VERSION
 
 
-class TestV1BackCompat:
-    def test_v1_file_still_loads(self, tmp_path):
-        index = build_index(BODIES)
-        snapshot = index.snapshot()
-        path = save_snapshot_v1(snapshot, tmp_path / "legacy.snap")
-        assert json.loads(path.read_text().splitlines()[0]
-                          )["format_version"] == 1
-        loaded = load_snapshot(path)
-        for document in index.documents():
-            assert loaded.document(document.doc_id) == document
-        live = Searcher(index)
-        cold = Searcher(loaded)
-        for query in ("star wars", "ocean", "zzz"):
-            assert [(h.doc_id, h.score) for h in cold.search(query, 4)] == \
-                   [(h.doc_id, h.score) for h in live.search(query, 4)]
-
-    def test_v1_and_v2_load_identically(self, tmp_path):
-        index = build_index(BODIES)
-        snapshot = index.snapshot()
-        v1 = load_snapshot(save_snapshot_v1(snapshot, tmp_path / "v1.snap"))
-        v2 = load_snapshot(save_snapshot(snapshot, tmp_path / "v2.snap"))
-        assert sorted(v1.terms()) == sorted(v2.terms())
-        for term in v1.terms():
-            assert v1.postings(term) == v2.postings(term)
-        assert v1.average_document_length == v2.average_document_length
-
-    def test_compact_upgrades_v1_to_v2(self, tmp_path):
-        index = build_index(BODIES)
-        path = save_snapshot_v1(index.snapshot(), tmp_path / "legacy.snap")
-        compact_snapshot(path)
-        header = read_snapshot_header(path)
-        assert header["format_version"] == FORMAT_VERSION
-        loaded = load_snapshot(path)
-        assert loaded.document("a") == index.document("a")
-
-
-class TestDeltaSegments:
-    def test_journal_appends_instead_of_rewriting(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        index = build_index(BODIES)
-        journal = SnapshotJournal(index, path)
-        base_bytes = path.read_bytes()
-        index.add(Document.create("z1", {"body": "fresh star ocean"}))
-        index.add(Document.create("z2", {"body": "fresh trek"}))
-        assert journal.delta_segments == 2
-        assert delta_segment_count(path) == 2
-        # Appends only: the base container's bytes are untouched, the
-        # delta tail is 2 segments x (delta + end) text lines.
-        raw = path.read_bytes()
-        assert raw[:len(base_bytes)] == base_bytes
-        tail = raw[len(base_bytes):].decode("utf-8")
-        assert len(tail.splitlines()) == 4
-
-    def test_journaled_snapshot_loads_float_identical(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        index = build_index(BODIES)
-        SnapshotJournal(index, path)
-        index.add(Document.create("z1", {"body": "fresh star ocean wars"}))
-        index.add(Document.create("z2", {"body": "cast fresh"}))
-        loaded = load_snapshot(path)
-        snapshot = index.snapshot()
-        assert loaded.version == snapshot.version
-        assert loaded.document_count == snapshot.document_count
-        assert loaded.average_document_length == \
-               snapshot.average_document_length
-        assert loaded.min_document_length == snapshot.min_document_length
-        for term in snapshot.terms():
-            assert loaded.postings(term) == snapshot.postings(term)
-            assert loaded.document_frequency(term) == \
-                   snapshot.document_frequency(term)
-        live = Searcher(index)
-        cold = Searcher(loaded)
-        for query in ("star wars", "fresh", "cast ocean", "zzz"):
-            assert [(h.doc_id, h.score) for h in cold.search(query, 5)] == \
-                   [(h.doc_id, h.score) for h in live.search(query, 5)]
-
-    def test_manual_commit_batches_pending_docs(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        index = build_index(BODIES)
-        journal = SnapshotJournal(index, path, auto=False)
-        index.add(Document.create("z1", {"body": "fresh star"}))
-        index.add(Document.create("z2", {"body": "fresh trek"}))
-        assert journal.pending() == ["z1", "z2"]
-        assert journal.commit() == 2
-        assert journal.pending() == []
-        assert journal.delta_segments == 1
-        assert journal.commit() == 0  # idempotent, no empty segments
-        assert journal.delta_segments == 1
-        loaded = load_snapshot(path)
-        assert loaded.document("z1").field("body") == "fresh star"
-
-    def test_auto_compaction_past_threshold(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        index = build_index(BODIES)
-        journal = SnapshotJournal(index, path, compact_threshold=3)
-        for i in range(7):
-            index.add(Document.create(f"z{i}", {"body": f"fresh {i} star"}))
-        assert journal.delta_segments < 3
-        loaded = load_snapshot(path)
-        assert loaded.document_count == len(BODIES) + 7
-
-    def test_explicit_compaction(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        index = build_index(BODIES)
-        journal = SnapshotJournal(index, path)
-        index.add(Document.create("z1", {"body": "fresh star"}))
-        assert delta_segment_count(path) == 1
-        journal.compact()
-        assert delta_segment_count(path) == 0
-        assert journal.delta_segments == 0
-        loaded = load_snapshot(path)
-        assert loaded.document_count == len(BODIES) + 1
-
-    def test_compact_snapshot_function(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        index = build_index(BODIES)
-        SnapshotJournal(index, path)
-        index.add(Document.create("z1", {"body": "fresh star"}))
-        before = load_snapshot(path)
-        compact_snapshot(path)
-        assert delta_segment_count(path) == 0
-        after = load_snapshot(path)
-        assert after.document_count == before.document_count
-        for term in before.terms():
-            assert after.postings(term) == before.postings(term)
-
-    def test_truncated_delta_detected(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        index = build_index(BODIES)
-        SnapshotJournal(index, path)
-        index.add(Document.create("z1", {"body": "fresh star"}))
-        # Drop the delta-end line: the tail's last newline-terminated line.
-        raw = path.read_bytes()
-        cut = raw.rfind(b"\n", 0, len(raw) - 1) + 1
-        path.write_bytes(raw[:cut])
-        with pytest.raises(SnapshotError, match="checksum line"):
-            load_snapshot(path)
-
-    def test_corrupted_delta_detected(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        index = build_index(BODIES)
-        SnapshotJournal(index, path)
-        index.add(Document.create("z1", {"body": "fresh star"}))
-        # "fresh" appears only in the appended delta text, not the base.
-        raw = path.read_bytes()
-        assert raw.count(b"fresh")
-        path.write_bytes(raw.replace(b"fresh", b"frxsh"))
-        with pytest.raises(SnapshotError, match="delta segment"):
-            load_snapshot(path)
-
-    def test_journal_reopen_resumes(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        index = build_index(BODIES)
-        SnapshotJournal(index, path)
-        index.add(Document.create("z1", {"body": "fresh star"}))
-
-        reopened = SnapshotJournal.open(path)
-        assert reopened.pending() == []
-        assert set(reopened.index._documents) == set(index._documents)
-        reopened.index.add(Document.create("z2", {"body": "fresh trek"}))
-        loaded = load_snapshot(path)
-        assert loaded.document_count == len(BODIES) + 2
-        hits = Searcher(loaded).search("fresh trek", 3)
-        assert hits and hits[0].doc_id == "z2"
-
-    def test_journal_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        save_snapshot(build_index(BODIES).snapshot(), path)
-        other = build_index({"q": "unrelated"})
-        with pytest.raises(SnapshotError, match="not a snapshot of"):
-            SnapshotJournal(other, path)
-
-    def test_invalid_compact_threshold(self, tmp_path):
-        index = build_index(BODIES)
-        with pytest.raises(ValueError):
-            SnapshotJournal(index, tmp_path / "j.snap", compact_threshold=0)
-
-    def test_rejected_add_leaves_journal_functional(self, tmp_path):
-        # Regression: a document rejected mid-add (non-positive weight)
-        # must leave the index untouched — previously it stayed
-        # half-registered and the journal's next auto-commit crashed on
-        # the poisoned doc_id, permanently breaking the index.
-        from repro.errors import IndexError_
-
-        path = tmp_path / "journal.snap"
-        index = build_index(BODIES)
-        journal = SnapshotJournal(index, path)
-        bad = Document.create("bad", {"body": "boom"}, {"body": 0.0})
-        with pytest.raises(IndexError_):
-            index.add(bad)
-        assert "bad" not in index._documents
-        assert journal.pending() == []
-        index.add(Document.create("z1", {"body": "fresh star"}))  # still works
-        loaded = load_snapshot(path)
-        assert "z1" in loaded
-        assert "bad" not in loaded
-
-    def test_compact_leaves_clean_v2_file_untouched(self, tmp_path):
-        path = save_snapshot(build_index(BODIES).snapshot(),
-                             tmp_path / "clean.snap")
-        before = path.read_bytes()
-        assert compact_snapshot(path) == 0
-        assert path.read_bytes() == before
-
-    def test_compact_returns_folded_segment_count(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        index = build_index(BODIES)
-        SnapshotJournal(index, path)
-        index.add(Document.create("z1", {"body": "fresh star"}))
-        index.add(Document.create("z2", {"body": "fresh trek"}))
-        assert compact_snapshot(path) == 2
-        assert compact_snapshot(path) == 0
-
-    def test_bulk_ingest_compaction_is_size_proportional(self, tmp_path):
-        # Regression: auto mode must not rewrite the whole file every
-        # compact_threshold adds — folding waits until the delta is a
-        # real fraction (25%) of the base, so bulk loading N documents
-        # costs O(N) file I/O, not O(N^2).
-        path = tmp_path / "journal.snap"
-        index = build_index(BODIES)
-        journal = SnapshotJournal(index, path, compact_threshold=2)
-        compactions = {"n": 0}
-        original = journal.compact
-
-        def counting_compact():
-            compactions["n"] += 1
-            return original()
-
-        journal.compact = counting_compact
-        for i in range(64):
-            index.add(Document.create(f"bulk{i}", {"body": f"term{i} star"}))
-        # Doubling-style growth: a handful of folds, not 64/2 = 32.
-        assert compactions["n"] <= 10
-        loaded = load_snapshot(path)
-        assert loaded.document_count == len(BODIES) + 64
-
-    def test_small_delta_on_large_base_not_compacted(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        index = build_index({f"d{i}": f"word{i} star" for i in range(40)})
-        journal = SnapshotJournal(index, path, compact_threshold=1)
-        index.add(Document.create("tail", {"body": "fresh star"}))
-        # One doc against a 40-doc base: appended, not folded.
-        assert journal.delta_segments == 1
-
-
 class TestDocStorePartitionLoads:
     """The store header's doc_id -> byte-offset index must let partition
     loads fetch exactly their documents, byte-identical to a full load."""
@@ -791,8 +526,6 @@ class TestDocStorePartitionLoads:
             load_document_store_partition(path, ["a"])
 
     def test_read_snapshot_doc_ids(self, tmp_path):
-        from repro.ir.persist import read_snapshot_doc_ids
-
         index = build_index(BODIES)
         snapshot = index.snapshot()
         store = DocumentStore.from_snapshot(snapshot)
@@ -804,22 +537,10 @@ class TestDocStorePartitionLoads:
         assert read_snapshot_doc_ids(inline_path) == sorted(BODIES)
 
     def test_read_snapshot_doc_ids_truncated(self, tmp_path):
-        from repro.ir.persist import read_snapshot_doc_ids
-
         index = build_index(BODIES)
         path = save_snapshot(index.snapshot(), tmp_path / "t.snap")
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(SnapshotError, match="truncated"):
-            read_snapshot_doc_ids(path)
-
-    def test_read_snapshot_doc_ids_truncated_v2(self, tmp_path):
-        from repro.ir.persist import read_snapshot_doc_ids
-
-        index = build_index(BODIES)
-        path = save_snapshot_v2(index.snapshot(), tmp_path / "t.snap")
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:2]))  # header + one record
         with pytest.raises(SnapshotError, match="truncated"):
             read_snapshot_doc_ids(path)
 

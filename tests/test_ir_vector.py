@@ -2,8 +2,7 @@
 hashing embedder (``repro.ir.embed``), the cosine ``VectorIndex``
 (``repro.ir.vector``), persisted vector extents in the v3 container,
 and the hybrid strategy's graceful degradation when a loaded snapshot
-carries no usable vectors (saved without them, or migrated from an
-older format)."""
+carries no usable vectors (saved without them)."""
 
 import math
 import warnings
@@ -14,13 +13,7 @@ from repro.ir.analysis import Analyzer
 from repro.ir.documents import Document
 from repro.ir.embed import DEFAULT_DIMS, HashingEmbedder
 from repro.ir.index import InvertedIndex
-from repro.ir.persist import (
-    compact_snapshot,
-    load_snapshot,
-    save_snapshot,
-    save_snapshot_v1,
-    save_snapshot_v2,
-)
+from repro.ir.persist import load_snapshot, save_snapshot
 from repro.ir.retrieval import Searcher
 from repro.ir.vector import VectorIndex, reciprocal_rank_fusion
 
@@ -190,18 +183,6 @@ class TestVectorPersistence:
             save_snapshot(build_index().snapshot(),
                           tmp_path / "partial.snap", vectors=partial)
 
-    def test_migrated_v1_v2_files_serve_lexical_only(self, tmp_path):
-        # `repro migrate` upgrades old containers to v3 but cannot
-        # invent vector extents; the result must load and serve with no
-        # vectors available, never raise.
-        snapshot = build_index().snapshot()
-        for label, saver in (("v1", save_snapshot_v1),
-                             ("v2", save_snapshot_v2)):
-            path = tmp_path / f"{label}.snap"
-            saver(snapshot, path)
-            assert compact_snapshot(path) >= 0  # the migrate operation
-            assert load_snapshot(path).vectors(HashingEmbedder()) is None
-
 
 class TestHybridFallback:
     """strategy="hybrid" over an index with no usable vectors: one
@@ -241,13 +222,3 @@ class TestHybridFallback:
             with pytest.warns(RuntimeWarning, match="no vector extents"):
                 hits = sharded.search("ocean", 5)
         assert [(h.doc_id, h.score) for h in hits] == lexical
-
-    def test_migrated_snapshot_degrades_gracefully(self, tmp_path):
-        path = tmp_path / "legacy.snap"
-        save_snapshot_v2(build_index().snapshot(), path)
-        compact_snapshot(path)
-        loaded = load_snapshot(path)
-        searcher = Searcher(loaded, strategy="hybrid", cache_size=0)
-        with pytest.warns(RuntimeWarning, match="migrated"):
-            hits = searcher.search("star wars", 5)
-        assert hits

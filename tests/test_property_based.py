@@ -295,93 +295,6 @@ class TestPersistenceProperties:
                [(h.doc_id, h.score, h.rank) for h in live]
 
 
-class TestMigrationProperties:
-    """v1/v2 snapshots migrated to the v3 columnar container must stay
-    *float-exact* rank-and-score identical to the live index — direct
-    retrieval, every WAND strategy, and sharded Bloom-routed dispatch."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        bodies=st.lists(texts, min_size=1, max_size=8),
-        weights=st.lists(
-            st.sampled_from([0.1, 0.5, 1.0, 2.5]), min_size=8, max_size=8),
-        query=texts,
-        kind=st.sampled_from(["tfidf", "bm25", "bm25-tuned", "prior-bm25"]),
-        limit=st.integers(min_value=0, max_value=10),
-        legacy_version=st.sampled_from([1, 2]),
-        strategy=st.sampled_from(["maxscore", "wand", "blockmax", "auto"]),
-    )
-    def test_migrated_snapshot_rank_identical(
-            self, bodies, weights, query, kind, limit, legacy_version,
-            strategy):
-        import tempfile
-        from pathlib import Path
-
-        from repro.ir.persist import (compact_snapshot, load_snapshot,
-                                      read_snapshot_header, save_snapshot_v1,
-                                      save_snapshot_v2)
-        from repro.ir.topk import topk_scores
-        from repro.ir.wand import retrieve
-
-        index = InvertedIndex(Analyzer(stem=False))
-        for i, body in enumerate(bodies):
-            index.add(Document.create(f"d{i}", {"body": body},
-                                      {"body": weights[i]}))
-        snapshot = index.snapshot()
-        scorer = _scorer_for(kind, len(bodies))
-        terms = snapshot.analyzer.tokens(query)
-        expected = topk_scores(snapshot, scorer, terms, limit)
-        save = save_snapshot_v1 if legacy_version == 1 else save_snapshot_v2
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "legacy.snap"
-            save(snapshot, path)
-            compact_snapshot(path)  # what ``repro migrate`` runs
-            header = read_snapshot_header(path)
-            assert header["format_version"] == 3
-            migrated = load_snapshot(path)
-            got = retrieve(migrated, scorer, terms, limit, strategy=strategy)
-        assert got == expected  # same docs, bit-identical floats
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        bodies=st.lists(texts, min_size=1, max_size=10),
-        queries=st.lists(texts, min_size=0, max_size=4),
-        kind=st.sampled_from(["tfidf", "bm25"]),
-        shards=st.integers(min_value=1, max_value=4),
-        limit=st.integers(min_value=0, max_value=8),
-        legacy_version=st.sampled_from([1, 2]),
-    )
-    def test_migrated_snapshot_sharded_bloom_routed_identical(
-            self, bodies, queries, kind, shards, limit, legacy_version):
-        # Sharding + Bloom routing over a migrated v3 load must reproduce
-        # the live serial results exactly, batch API included.
-        import tempfile
-        from pathlib import Path
-
-        from repro.ir.persist import (compact_snapshot, load_snapshot,
-                                      save_snapshot_v1, save_snapshot_v2)
-        from repro.ir.shard import ShardedTopK
-        from repro.ir.topk import topk_scores
-
-        index = InvertedIndex(Analyzer(stem=False))
-        for i, body in enumerate(bodies):
-            index.add(Document.create(f"d{i}", {"body": body}))
-        snapshot = index.snapshot()
-        scorer = _scorer_for(kind, len(bodies))
-        term_lists = [snapshot.analyzer.tokens(query) for query in queries]
-        expected = [topk_scores(snapshot, scorer, terms, limit)
-                    for terms in term_lists]
-        save = save_snapshot_v1 if legacy_version == 1 else save_snapshot_v2
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "legacy.snap"
-            save(snapshot, path)
-            compact_snapshot(path)
-            migrated = load_snapshot(path)
-            with ShardedTopK(migrated, shards, "serial") as sharded:
-                got = sharded.topk_many(scorer, term_lists, limit)
-        assert got == expected
-
-
 class TestShardingProperties:
     """Sharded retrieval must be *float-exact* rank-identical to the serial
     single-snapshot path — same scores, same (-score, doc_id) tie-breaks —

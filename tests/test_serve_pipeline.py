@@ -190,45 +190,54 @@ class TestDefinitionBloom:
 
     def test_delta_advanced_snapshot_discards_stale_persisted_bloom(
             self, imdb_db, tmp_path):
-        # A persisted filter describes the base vocabulary only; once a
-        # journal appends delta documents, restoring it would let the
-        # plan stage prune retrieval for delta-only terms (real missing
-        # answers).  The load must discard it and rebuild from the
-        # delta-applied snapshot.
-        from repro.ir.index import InvertedIndex
-        from repro.ir.persist import (
-            SnapshotJournal,
-            load_snapshot,
-            read_snapshot_header,
-        )
-        from repro.ir.shard import TermBloomFilter
-
-        live = QunitCollection(imdb_db, imdb_expert_qunits(),
-                               max_instances_per_definition=20)
-        store = CollectionStore(tmp_path / "gen")
-        out = tmp_path / "gen"
-        store.save(live)
-        name = sorted(live.definitions)[0]
+        # A persisted filter describes the base vocabulary only; once the
+        # collection journal appends documents, restoring it would let
+        # the plan stage prune retrieval for journal-only terms (real
+        # missing answers).  Both load modes must discard it and rebuild
+        # from the journal-folded snapshot.
         import json
 
-        manifest = json.loads((out / "collection.json").read_text())
-        snap_path = out / manifest["snapshots"]["definitions"][name]
-        index = InvertedIndex.from_snapshot(load_snapshot(snap_path))
-        SnapshotJournal(index, snap_path, compact_threshold=99)
-        index.add(Document.create("delta::doc", {"body": "zweihander"}))
+        from repro.core.qunit import QunitInstance
+        from repro.ir.persist import read_snapshot_header
+        from repro.ir.shard import TermBloomFilter
 
-        loaded = store.load(imdb_db, LoadOptions(lazy=False))
-        bloom = loaded.definition_bloom(name)
-        assert bloom is not None
-        assert "zweihander" in bloom  # stale filter would miss it
+        name = "movie_plot"
+        out = tmp_path / "gen"
+        store = CollectionStore(out)
+        live = QunitCollection(imdb_db, imdb_expert_qunits(),
+                               max_instances_per_definition=20)
+        store.save(live)
 
-        # Compaction must refresh the persisted filter the same way.
-        from repro.ir.persist import compact_snapshot
+        def persisted_bloom() -> TermBloomFilter:
+            manifest = json.loads((out / "collection.json").read_text())
+            header = read_snapshot_header(
+                out / manifest["snapshots"]["definitions"][name])
+            return TermBloomFilter.from_dict(header["bloom"])
 
-        assert compact_snapshot(snap_path) >= 1
-        compacted = TermBloomFilter.from_dict(
-            read_snapshot_header(snap_path)["bloom"])
-        assert "zweihander" in compacted
+        assert "zweihander" not in persisted_bloom()
+        writer = store.writer(live)
+        writer.stage_instance(QunitInstance(
+            live.definition(name), {"x": "Zweihander"},
+            [{"movie.title": "Zweihander",
+              "movie_info.info": "a zweihander duel at dawn",
+              "info_type.name": "plot"}]))
+        writer.commit()
+        # The base file (and its header filter) is untouched: stale.
+        assert "zweihander" not in persisted_bloom()
+
+        eager = store.load(imdb_db, LoadOptions(lazy=False))
+        assert "zweihander" in eager.definition_bloom(name)
+
+        lazy = store.load(imdb_db, LoadOptions(lazy=True))
+        # Still pending: no header filter is better than the stale one.
+        pending = lazy.definition_bloom(name)
+        assert pending is None or "zweihander" in pending
+        lazy.definition_searcher(name)  # first demand folds the journal
+        assert "zweihander" in lazy.definition_bloom(name)
+
+        # Compaction rewrites the base, refreshing the persisted filter.
+        assert store.compact() >= 1
+        assert "zweihander" in persisted_bloom()
 
     def test_bloom_pruned_engine_answers_identical(self, imdb_db, tmp_path):
         # The loaded engine plans with persisted per-definition Blooms
