@@ -23,9 +23,6 @@ files CI uploads):
   (documents stored once) versus inlining them per snapshot file, and
   Bloom-routed sharded batch retrieval versus broadcasting every query to
   every shard;
-- ``BENCH_wand.json`` — term-at-a-time max-score versus document-at-a-time
-  WAND and block-max WAND across query lengths (the ``--strategy`` flag /
-  ``Searcher(strategy=...)`` choice; see ``repro.ir.wand``);
 - ``BENCH_pipeline.json`` — the staged query pipeline's batched serving
   path (``QunitSearchEngine.search_many``) versus the sequential
   per-query loop on a sharded process-mode collection (see
@@ -201,151 +198,6 @@ def test_topk_fastpath_speedup(benchmark, write_artifact, bench_full,
     }
     write_artifact("perf_topk_fastpath.json", json.dumps(report, indent=2))
     assert report["speedup_warm"] > 1.0
-
-
-# -- retrieval strategies: max-score vs WAND vs block-max -------------------
-
-
-def _strategy_workload(db, analyzer, per_bucket: int,
-                       lengths=(2, 4, 6)) -> dict[int, list[str]]:
-    """Entity-anchored queries bucketed by *exact* analyzed token count.
-
-    Each query pairs an entity value (movie title / person name — the
-    selective terms that drive the WAND threshold up) with attribute
-    suffixes (``cast``, ``awards``, ... — the common terms whose postings
-    document-at-a-time skipping avoids).  Queries land in the bucket of
-    their actual post-analysis token count, so the report's "query
-    length" axis is exact, not approximate.
-    """
-    suffixes = ("cast", "cast crew", "cast crew awards",
-                "cast crew awards genre", "cast box office opening year",
-                "movies", "movies filmography awards",
-                "movies filmography awards genre year")
-    buckets: dict[int, list[str]] = {length: [] for length in lengths}
-    values: list[str] = []
-    for table, column in (("movie", "title"), ("person", "name")):
-        rows = list(db.table(table))
-        step = max(1, len(rows) // 150)
-        values.extend(row[column] for row in rows[::step][:150])
-    for value in values:
-        for suffix in suffixes:
-            query = f"{value} {suffix}"
-            bucket = buckets.get(len(analyzer.tokens(query)))
-            if bucket is not None and len(bucket) < per_bucket:
-                bucket.append(query)
-        if all(len(bucket) >= per_bucket for bucket in buckets.values()):
-            break
-    return buckets
-
-
-def test_wand_strategies(benchmark, write_artifact, bench_full, perf_scales):
-    """Term-at-a-time max-score vs document-at-a-time WAND vs block-max.
-
-    All three strategies answer from the same snapshot and the same
-    per-term contribution caches, so the comparison is pure algorithm:
-    what each one *skips*.  Rank-and-score identity across strategies is
-    asserted over the whole workload (the float-exactness contract of
-    ``repro.ir.wand``).  On full-scale runs, WAND must deliver at least
-    max-score throughput on the 4+-term buckets — the queries the
-    ``auto`` strategy routes to it.
-    """
-    from repro.ir.scoring import Bm25Scorer
-    from repro.ir.wand import retrieve
-
-    scale = max(perf_scales)
-    db = generate_imdb(scale=scale, seed=7)
-    collection = QunitCollection(
-        db, imdb_expert_qunits(),
-        max_instances_per_definition=300 if bench_full else 100,
-    )
-    snapshot = collection.global_index().snapshot()
-    analyzer = snapshot.analyzer
-    scorer = Bm25Scorer()
-    limit = 10
-    strategies = ("maxscore", "wand", "blockmax")
-    buckets = _strategy_workload(db, analyzer,
-                                 per_bucket=60 if bench_full else 10)
-    term_buckets = {
-        length: [analyzer.tokens(query) for query in queries]
-        for length, queries in buckets.items() if queries
-    }
-    repeats = 3 if bench_full else 1
-
-    def measure():
-        # One untimed pass builds the shared contribution arrays, so the
-        # timed passes compare steady-state scoring only.
-        for term_lists in term_buckets.values():
-            for terms in term_lists:
-                retrieve(snapshot, scorer, terms, limit, "maxscore")
-        timings: dict[int, dict[str, float]] = {}
-        for length, term_lists in term_buckets.items():
-            timings[length] = {}
-            for strategy in strategies:
-                best = None
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    for terms in term_lists:
-                        retrieve(snapshot, scorer, terms, limit, strategy)
-                    elapsed = time.perf_counter() - start
-                    best = elapsed if best is None else min(best, elapsed)
-                timings[length][strategy] = best
-        return timings
-
-    timings = benchmark.pedantic(measure, rounds=1, iterations=1)
-
-    # Rank-and-score identity across every strategy, the whole workload.
-    for term_lists in term_buckets.values():
-        for terms in term_lists:
-            expected = retrieve(snapshot, scorer, terms, limit, "maxscore")
-            for strategy in ("wand", "blockmax", "auto"):
-                assert retrieve(snapshot, scorer, terms, limit,
-                                strategy) == expected
-
-    bucket_rows = []
-    long_totals = {strategy: 0.0 for strategy in strategies}
-    long_queries = 0
-    for length in sorted(term_buckets):
-        entry = {
-            "terms": length,
-            "queries": len(term_buckets[length]),
-            **{f"{strategy}_s": round(timings[length][strategy], 6)
-               for strategy in strategies},
-            "wand_speedup": round(
-                timings[length]["maxscore"] / timings[length]["wand"], 3),
-            "blockmax_speedup": round(
-                timings[length]["maxscore"] / timings[length]["blockmax"], 3),
-        }
-        bucket_rows.append(entry)
-        if length >= 4:
-            long_queries += len(term_buckets[length])
-            for strategy in strategies:
-                long_totals[strategy] += timings[length][strategy]
-    report = {
-        "scale": scale,
-        "documents": snapshot.document_count,
-        "limit": limit,
-        "scorer": "bm25",
-        "repeats": repeats,
-        "buckets": bucket_rows,
-        # The headline numbers the nightly regression job tracks: the
-        # 4+-term buckets, where `auto` routes queries to WAND.
-        "long": {
-            "terms_min": 4,
-            "queries": long_queries,
-            **{f"{strategy}_s": round(long_totals[strategy], 6)
-               for strategy in strategies},
-            "wand_speedup": round(
-                long_totals["maxscore"] / long_totals["wand"], 3),
-            "blockmax_speedup": round(
-                long_totals["maxscore"] / long_totals["blockmax"], 3),
-        },
-    }
-    write_artifact("BENCH_wand.json", json.dumps(report, indent=2))
-    if bench_full:
-        # The acceptance bar for document-at-a-time pruning: on long
-        # queries WAND throughput must at least match term-at-a-time
-        # max-score (it skips whole posting ranges the latter walks).
-        assert report["long"]["wand_speedup"] >= 1.0
 
 
 # -- cold start from persisted snapshots -----------------------------------

@@ -61,12 +61,6 @@ TRACKED_METRICS: dict[str, dict[str, str]] = {
         "v3_dedup_ratio": "lower",
         "routing.routed_s": "lower",
     },
-    "BENCH_wand.json": {
-        "long.maxscore_s": "lower",
-        "long.wand_s": "lower",
-        "long.blockmax_s": "lower",
-        "long.wand_speedup": "higher",
-    },
     "BENCH_pipeline.json": {
         # Cold passes are dominated by per-engine one-time builds and
         # jitter with run order; the steady state is the guarded number.

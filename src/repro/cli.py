@@ -3,7 +3,7 @@
 ::
 
     python -m repro search "star wars cast" [more queries ...] [--scale 0.3]
-                    [--flavor expert] [--shards 4] [--strategy wand]
+                    [--flavor expert] [--shards 4] [--strategy hybrid]
                     [--batch-file queries.txt] [--explain]
     python -m repro derive --strategy schema_data [--k1 4 --k2 3]
     python -m repro save DIR [--flavor expert] [--shards 4] [--mode auto]
@@ -36,8 +36,8 @@ ones plus any read from ``--batch-file`` (one query per line) — are
 answered as *one batch* through the staged query pipeline
 (``repro.serve``), so sharded executors see batched dispatches;
 ``--explain`` prints each query's full stage trace (per-stage wall time,
-the query plan, the strategy the df-skew cost model chose, cache and
-shard-routing counters, and rejected candidate definitions).  ``compact``
+the query plan, the retrieval strategy, cache and shard-routing
+counters, and rejected candidate definitions).  ``compact``
 folds a collection directory's delta journal back into clean bases
 (rewriting a fresh journal-free generation).  ``bench-diff`` compares two directories of
 ``BENCH_*.json`` benchmark reports (the perf-regression check CI runs
@@ -46,10 +46,10 @@ flat collection index as N hash-partitioned shards in parallel,
 Bloom-routing each query batch only to shards that can match (see
 ``repro.ir.shard``); ``--shard-mode`` picks the executor (``serial`` or
 ``process`` — multiprocess workers that mmap v3 snapshots);
-``--strategy`` picks the retrieval algorithm (term-at-a-time max-score,
-document-at-a-time WAND/block-max, per-query ``auto``, or ``hybrid`` —
-lexical retrieval fused with cosine scoring over document embeddings by
-reciprocal rank; see ``repro.ir.wand`` and ``repro.ir.vector``).
+``--strategy`` picks ``auto`` (lexical max-score retrieval, the
+default) or ``hybrid`` — lexical retrieval fused with cosine scoring
+over document embeddings by reciprocal rank; see ``repro.ir.topk`` and
+``repro.ir.vector``.
 
 ``serve`` puts the engine behind the asyncio HTTP front end
 (``repro.serve.server``): concurrent requests micro-batch through one
@@ -93,6 +93,7 @@ from repro.datasets.evidence import generate_wiki_corpus
 from repro.datasets.imdb import generate_imdb
 from repro.datasets.querylog import QueryLogAnalyzer, QueryLogGenerator
 from repro.eval.figures import render_sec52_statistics
+from repro.ir.topk import STRATEGIES
 
 __all__ = ["main", "build_parser"]
 
@@ -297,7 +298,7 @@ def _add_shard_options(subparser) -> None:
     subparser.add_argument(
         "--explain", action="store_true",
         help="print each query's full pipeline stage trace (plan, "
-             "strategy chosen, per-stage wall time, cache and shard "
+             "strategy, per-stage wall time, cache and shard "
              "routing counters, rejected candidates)")
 
 
@@ -314,12 +315,9 @@ def _add_executor_options(subparser) -> None:
              "share one page cache)")
     subparser.add_argument(
         "--strategy", default="auto",
-        choices=["auto", "maxscore", "wand", "blockmax", "hybrid"],
-        help="fast-path retrieval algorithm: term-at-a-time max-score, "
-             "document-at-a-time WAND, block-max WAND, or per-query "
-             "auto selection via the df-skew cost model (default auto; "
-             "the lexical strategies return identical results); "
-             "'hybrid' fuses lexical retrieval with cosine scoring "
+        choices=STRATEGIES,
+        help="retrieval strategy: 'auto' is lexical max-score top-k "
+             "(the default); 'hybrid' fuses it with cosine scoring "
              "over document embeddings by reciprocal rank")
 
 

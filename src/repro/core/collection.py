@@ -370,9 +370,9 @@ class QunitCollection:
     def peek_definition_snapshot(self, name: str) -> IndexSnapshot | None:
         """One definition's snapshot *if it already exists* (index built
         this process or restored by :meth:`load`); ``None`` otherwise —
-        never triggers materialization or an index build.  The query
-        pipeline's plan stage resolves per-definition retrieval
-        strategies against this.
+        never triggers materialization or an index build.
+        :meth:`definition_bloom` builds its filter from this, so the
+        plan stage can prune without forcing an index into existence.
 
         Raises:
             DerivationError: for unknown definition names.
@@ -382,18 +382,6 @@ class QunitCollection:
         if index is not None:
             return index.snapshot()
         return self._loaded_snapshots.get(name)
-
-    def peek_global_snapshot(self) -> IndexSnapshot | None:
-        """The flat snapshot *if one already exists* (built this process
-        or restored by :meth:`load`); ``None`` otherwise — never triggers
-        the index build.  The query pipeline's plan stage resolves its
-        cost model against this, so planning a fully-bound query on a
-        cold live collection cannot force materializing every instance;
-        the first query that actually backfills builds the index, and
-        every later plan resolves against its statistics."""
-        if self._global_index is not None:
-            return self._global_index.snapshot()
-        return self._loaded_snapshots.get(None)
 
     @staticmethod
     def _database_fingerprint(database: Database) -> dict:

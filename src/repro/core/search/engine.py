@@ -198,8 +198,8 @@ class QunitSearchEngine:
         cost no longer scales with definitions the traffic never
         touches.  Retrieval is optionally sharded
         (``shards``/``parallelism`` — see :mod:`repro.ir.shard`) and
-        runs under any strategy (``strategy`` — see
-        :mod:`repro.ir.wand`).
+        runs under ``strategy`` (one of
+        :data:`repro.ir.topk.STRATEGIES`).
         """
         from repro.core.store import CollectionStore, LoadOptions
 

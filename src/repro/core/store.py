@@ -89,7 +89,7 @@ from repro.ir.shard import (
     shard_id,
     shard_snapshot,
 )
-from repro.ir.wand import STRATEGIES
+from repro.ir.topk import STRATEGIES
 from repro.relational.database import Database
 
 __all__ = [
@@ -175,8 +175,8 @@ class LoadOptions:
             per-shard snapshot files (and Bloom filters) are restored
             instead of re-partitioning in memory.
         parallelism: shard executor mode (see :mod:`repro.ir.shard`).
-        strategy: fast-path retrieval strategy for the restored
-            searchers (see :mod:`repro.ir.wand`).
+        strategy: retrieval strategy for the restored searchers, one
+            of :data:`repro.ir.topk.STRATEGIES`.
         lazy: pin only the manifest and per-snapshot headers at load
             time; snapshots mmap on first query demand (the default).
             ``False`` restores the old eager behavior: the whole

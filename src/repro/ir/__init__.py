@@ -4,8 +4,9 @@ The qunits paradigm's whole point is that once a database is modeled as a
 flat collection of independent documents, *standard IR techniques* apply.
 This package supplies those techniques: analysis (tokenization, stopwords,
 light stemming), an inverted index with per-field storage, TF-IDF and BM25
-ranked retrieval (with term-at-a-time and document-at-a-time top-k fast
-paths — see :mod:`repro.ir.topk` and :mod:`repro.ir.wand`),
+ranked retrieval (with one term-at-a-time max-score top-k fast path —
+see :mod:`repro.ir.topk`), hybrid lexical + vector rank fusion
+(:mod:`repro.ir.vector`),
 persistent index snapshots (:mod:`repro.ir.persist`), sharded parallel
 scoring (:mod:`repro.ir.shard`), and the usual effectiveness metrics.
 """
@@ -29,8 +30,13 @@ from repro.ir.persist import (
     save_snapshot,
 )
 from repro.ir.shard import ShardedTopK, TermBloomFilter, shard_snapshot
-from repro.ir.topk import TopKHeap, merge_ranked, topk_scores
-from repro.ir.wand import STRATEGIES, retrieve, wand_scores
+from repro.ir.topk import (
+    STRATEGIES,
+    TopKHeap,
+    merge_ranked,
+    retrieve,
+    topk_scores,
+)
 from repro.ir.metrics import (
     average_precision,
     dcg,
@@ -58,7 +64,6 @@ __all__ = [
     "merge_ranked",
     "STRATEGIES",
     "retrieve",
-    "wand_scores",
     "save_snapshot",
     "load_snapshot",
     "open_scoring_snapshot",

@@ -267,7 +267,6 @@ class IndexSnapshot:
         self._doc_lengths = doc_lengths
         self._doc_frequencies = doc_frequencies
         self._contributions: dict[tuple, TermContributions] = {}
-        self._block_bounds: dict[tuple, tuple[float, ...]] = {}
         self._vector_indexes: dict[tuple, object] = {}
 
     @classmethod
@@ -359,34 +358,6 @@ class IndexSnapshot:
             self._contributions[key] = cached
         return cached
 
-    def term_block_bounds(self, scorer, term: str,
-                          block_size: int) -> tuple[float, ...]:
-        """Per-block maxima of the term's contribution array.
-
-        Block ``i`` caps the contribution of postings ``[i * block_size,
-        (i + 1) * block_size)`` — the block-max refinement used by
-        :func:`repro.ir.wand.wand_scores`.  Cached per ``(scorer
-        cache key, term, block_size)`` on the snapshot, so like the
-        contribution cache it is version-invalidated for free: an
-        :meth:`InvertedIndex.add` produces a *new* snapshot whose caches
-        start empty, while this snapshot keeps serving its frozen data.
-
-        Raises:
-            ValueError: on a non-positive ``block_size``.
-        """
-        if block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size}")
-        key = (scorer.cache_key(), term, block_size)
-        cached = self._block_bounds.get(key)
-        if cached is None:
-            contributions = self.term_contributions(scorer, term).contributions
-            cached = tuple(
-                max(contributions[start:start + block_size])
-                for start in range(0, len(contributions), block_size)
-            )
-            self._block_bounds[key] = cached
-        return cached
-
     # -- vectors -------------------------------------------------------------
 
     def vectors(self, embedder):
@@ -438,12 +409,10 @@ class IndexSnapshot:
         )
 
     def __getstate__(self) -> dict:
-        """Pickle without the contribution/block-bound caches (workers
-        rebuild their own, and scorer cache keys may contain process-local
-        ids)."""
+        """Pickle without the contribution caches (workers rebuild their
+        own, and scorer cache keys may contain process-local ids)."""
         state = self.__dict__.copy()
         state["_contributions"] = {}
-        state["_block_bounds"] = {}
         state["_vector_indexes"] = {}
         return state
 
@@ -465,19 +434,17 @@ def _rebuild_plain_snapshot(version, analyzer, documents, postings,
 
 
 class ColumnarIndexSnapshot(IndexSnapshot):
-    """A snapshot whose postings/contribution/block-bound data live in an
+    """A snapshot whose postings/contribution data live in an
     mmap-backed columnar container (:mod:`repro.ir.persist` format v3).
 
     Behaves exactly like a plain :class:`IndexSnapshot` — the ``postings``
     and ``documents`` mappings it is handed are lazy views that
     materialize per term (or per document blob) straight out of the
     mmap'd columns — but additionally consults *persisted* per-(scorer,
-    term) contribution and block-bound columns before computing them,
-    so the scorers the save precomputed for skip the arithmetic
-    entirely on load.  ``backing`` is duck-typed (see
-    ``repro.ir.persist._V3Backing``): it must provide
-    ``term_contributions(scorer_key, term)`` and
-    ``term_block_bounds(scorer_key, term, block_size)``, each returning
+    term) contribution columns before computing them, so the scorers
+    the save precomputed for skip the arithmetic entirely on load.
+    ``backing`` is duck-typed (see ``repro.ir.persist._V3Backing``): it
+    must provide ``term_contributions(scorer_key, term)``, returning
     ``None`` when no matching column was persisted.
 
     Float-exactness holds either way: persisted columns are bit-exact
@@ -497,19 +464,6 @@ class ColumnarIndexSnapshot(IndexSnapshot):
             if cached is None:
                 return super().term_contributions(scorer, term)
             self._contributions[key] = cached
-        return cached
-
-    def term_block_bounds(self, scorer, term: str,
-                          block_size: int) -> tuple[float, ...]:
-        if block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size}")
-        key = (scorer.cache_key(), term, block_size)
-        cached = self._block_bounds.get(key)
-        if cached is None:
-            cached = self._backing.term_block_bounds(key[0], term, block_size)
-            if cached is None:
-                return super().term_block_bounds(scorer, term, block_size)
-            self._block_bounds[key] = cached
         return cached
 
     def _build_vectors(self, embedder):

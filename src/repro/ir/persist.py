@@ -19,8 +19,8 @@ collection statistics, docstore/shard/bloom), a JSON *term directory*
 mapping each term to the byte extents of its columns, and a columns
 region holding fixed-width little-endian arrays — u32 interned doc
 positions and float64 weighted frequencies per term, float64 document
-lengths, plus optional per-(scorer, term) contribution and block-max
-bound columns precomputed at save time.  Every column (and the
+lengths, plus optional per-(scorer, term) contribution columns
+precomputed at save time.  Every column (and the
 meta/directory blobs) carries a sha256 checksum, verified lazily on first
 access.  The file ends where the columns region ends.
 
@@ -136,8 +136,8 @@ FORMAT_VERSION = 3
 #: trailing newline makes an accidental text-mode read fail fast).
 V3_MAGIC = b"qunits-col3\n"
 
-#: Posting-list length below which contribution/block-bound columns are
-#: not persisted (lazy recomputation is cheaper than the bytes).
+#: Posting-list length below which contribution columns are not
+#: persisted (lazy recomputation is cheaper than the bytes).
 _PRECOMPUTE_MIN_POSTINGS = 16
 #: Fixed-size v3 container header: magic, format version, then byte
 #: extents of the meta blob, term directory, and columns region, then
@@ -550,7 +550,7 @@ def _unpack_f64(buffer):
 
 
 def _default_precompute_scorers():
-    """Scorers whose per-term contribution/block-bound columns
+    """Scorers whose per-term contribution columns
     :func:`save_snapshot` persists: the default BM25 configuration —
     what the collection layer scores with unless told otherwise.  Other
     scorers fall back to lazy computation on load (identical floats,
@@ -579,8 +579,8 @@ def save_snapshot(snapshot: IndexSnapshot, path: str | os.PathLike, *,
     interned-doc-position and float64 weighted-frequency columns, the
     float64 document-length column, the doc_id list blob, inline
     documents (standalone layout only), and per-(scorer, term)
-    contribution/block-bound columns for the default scorers.  Every
-    column carries a sha256, verified lazily on load.
+    contribution columns for the default scorers.  Every column carries
+    a sha256, verified lazily on load.
 
     Args:
         snapshot: the frozen snapshot to persist.
@@ -595,9 +595,9 @@ def save_snapshot(snapshot: IndexSnapshot, path: str | os.PathLike, *,
         bloom: optional serialized term Bloom filter
             (:meth:`~repro.ir.shard.TermBloomFilter.to_dict`) recorded in
             the meta blob so routers can read it without parsing postings.
-        precompute: also persist contribution and block-max bound columns
-            for the default scorers, so loads serve the hot path without
-            recomputing them.
+        precompute: also persist contribution columns for the default
+            scorers, so loads serve the hot path without recomputing
+            them.
         vectors: optional :class:`~repro.ir.vector.VectorIndex` to
             persist as vector extents (a ``"vectors"`` directory section:
             the embedder config plus doc_id and row-major float64 matrix
@@ -650,8 +650,6 @@ def save_snapshot(snapshot: IndexSnapshot, path: str | os.PathLike, *,
 
     scorers_directory = {}
     if precompute:
-        from repro.ir.wand import term_block_size
-
         for scorer in _default_precompute_scorers():
             per_term = {}
             for term in terms:
@@ -669,13 +667,9 @@ def save_snapshot(snapshot: IndexSnapshot, path: str | os.PathLike, *,
                     # postings order; a load could not reconstruct the
                     # doc_ids, so leave this term to the lazy path.
                     continue
-                block_size = term_block_size(len(plan.doc_ids))
-                blocks = snapshot.term_block_bounds(scorer, term, block_size)
                 per_term[term] = {
                     "contrib": add_column(_pack_f64(plan.contributions)),
                     "bound": plan.bound,
-                    "block_size": block_size,
-                    "blocks": add_column(_pack_f64(blocks)),
                 }
             if per_term:
                 scorers_directory[repr(scorer.cache_key())] = per_term
@@ -996,7 +990,9 @@ class _V3Backing:
 
     def term_contributions(self, scorer_key, term: str):
         """The persisted :class:`~repro.ir.index.TermContributions` for
-        ``(scorer_key, term)``, or ``None`` when none was saved."""
+        ``(scorer_key, term)``, or ``None`` when none was saved.  Other
+        keys in the entry (older builds also wrote ``block_size`` and
+        ``blocks``) are ignored."""
         per_term = self._scorer_directory.get(repr(scorer_key))
         entry = per_term.get(term) if isinstance(per_term, dict) else None
         if entry is None or term not in self.term_directory:
@@ -1014,27 +1010,6 @@ class _V3Backing:
                 self.path, f"term {term!r} has {len(doc_ids)} postings but "
                            f"{len(contributions)} persisted contributions")
         return TermContributions(doc_ids, contributions, bound)
-
-    def term_block_bounds(self, scorer_key, term: str, block_size: int):
-        """The persisted block-max bounds for ``(scorer_key, term)`` at
-        exactly ``block_size``, or ``None`` when none match."""
-        per_term = self._scorer_directory.get(repr(scorer_key))
-        entry = per_term.get(term) if isinstance(per_term, dict) else None
-        if entry is None or not isinstance(entry, dict) or \
-                entry.get("block_size") != block_size:
-            return None
-        try:
-            blocks = tuple(_unpack_f64(self.column(entry["blocks"])))
-        except KeyError as exc:
-            raise _corrupt(
-                self.path, f"malformed block-bound entry for term "
-                           f"{term!r} ({exc!r})") from exc
-        n = len(self.term_doc_ids(term))
-        if len(blocks) != -(-n // block_size):
-            raise _corrupt(
-                self.path, f"term {term!r} has {len(blocks)} block bounds "
-                           f"for {n} postings at block size {block_size}")
-        return blocks
 
     # -- vectors -------------------------------------------------------------
 

@@ -9,21 +9,15 @@ one layer at a time:
 1. **Result cache** — an LRU keyed on ``(index version, analyzer tokens,
    scorer cache key, limit)``.  Adding a document bumps the index version,
    so stale entries can never be served; they simply age out of the LRU.
-   Lexical strategies share entries (they are rank- and score-identical);
-   hybrid results carry an extra key segment (fusion parameters plus the
-   embedder identity) since fusion *changes* rankings.
+   Hybrid results carry an extra key segment (fusion parameters plus
+   the embedder identity) since fusion *changes* rankings.
 2. **Top-k fast path** — when the scorer supports it (BM25, TF-IDF, and
    prior-weighted wrappers around them), scoring runs over the index's
-   frozen :class:`~repro.ir.index.IndexSnapshot` via
-   :func:`repro.ir.wand.retrieve`, which dispatches on the searcher's
-   ``strategy``: term-at-a-time max-score
-   (:func:`repro.ir.topk.topk_scores`), document-at-a-time WAND or
-   block-max WAND (:mod:`repro.ir.wand`), or per-query ``"auto"``
-   selection on query length.  All lexical strategies share the
-   snapshot's cached per-term contribution arrays and return identical
-   rankings.  With ``shards >= 2`` the snapshot is hash-partitioned and
-   shards are scored in parallel, then merged (see
-   :mod:`repro.ir.shard`) — still rank-identical.
+   frozen :class:`~repro.ir.index.IndexSnapshot` via term-at-a-time
+   max-score (:func:`repro.ir.topk.topk_scores`), using the snapshot's
+   cached per-term contribution arrays.  With ``shards >= 2`` the
+   snapshot is hash-partitioned and shards are scored in parallel, then
+   merged (see :mod:`repro.ir.shard`) — still rank-identical.
 3. **Exhaustive path** — :meth:`Searcher.search_exhaustive`, the reference
    implementation that scores every matching document and sorts.  The fast
    path is rank-identical to it by construction (property-tested in
@@ -37,7 +31,7 @@ the query is embedded (:mod:`repro.ir.embed`), scored against the
 snapshot's :class:`~repro.ir.vector.VectorIndex` by brute-force cosine,
 and the lexical and vector rankings are combined with reciprocal-rank
 fusion (:func:`repro.ir.vector.reciprocal_rank_fusion`).  Fusion breaks
-the rank-identical-to-exhaustive invariant of the lexical strategies, so
+the rank-identical-to-exhaustive invariant of the lexical path, so
 the suite replaces it with three provable properties: with
 ``vector_weight == 0`` hybrid returns the lexical results *verbatim*
 (scores included); fused rankings are deterministic and invariant under
@@ -75,14 +69,13 @@ from repro.ir.embed import HashingEmbedder
 from repro.ir.index import IndexSnapshot, InvertedIndex
 from repro.ir.scoring import Bm25Scorer, Scorer
 from repro.ir.shard import PARALLELISM_MODES, ShardedTopK
-from repro.ir.topk import merge_ranked
+from repro.ir.topk import STRATEGIES, merge_ranked, topk_scores
 from repro.ir.vector import (
     DEFAULT_RRF_K,
     DEFAULT_VECTOR_WEIGHT,
     HYBRID_DEPTH_MULTIPLIER,
     reciprocal_rank_fusion,
 )
-from repro.ir.wand import STRATEGIES, retrieve
 
 __all__ = ["SearchHit", "Searcher"]
 
@@ -120,15 +113,12 @@ class Searcher:
     re-partition.  :meth:`close` releases the shard executor; searchers
     are usable as context managers.
 
-    ``strategy`` selects the retrieval algorithm (see
-    :mod:`repro.ir.wand`): ``"maxscore"`` (term-at-a-time), ``"wand"`` /
-    ``"blockmax"`` (document-at-a-time), ``"auto"`` (the default, which
-    resolves per query on its term count), or ``"hybrid"`` — lexical
-    retrieval fused with cosine scoring over document embeddings by
-    reciprocal rank (see the module docstring).  Lexical strategies
-    return identical rankings — float-exact, tie-breaks included — so
-    the result cache is shared across them; every search method also
-    accepts a per-call ``strategy`` override.  ``vector_weight`` and
+    ``strategy`` is one of :data:`~repro.ir.topk.STRATEGIES`:
+    ``"auto"`` (the default, lexical max-score retrieval) or
+    ``"hybrid"`` — lexical retrieval fused with cosine scoring over
+    document embeddings by reciprocal rank (see the module docstring).
+    Every search method also accepts a per-call ``strategy`` override.
+    ``vector_weight`` and
     ``rrf_k`` are the hybrid fusion defaults (also overridable per
     call); ``embedder`` is the shared
     :class:`~repro.ir.embed.HashingEmbedder` — it must match the
@@ -254,8 +244,7 @@ class Searcher:
                 else limit
             sharded = self._sharded_topk()
             ranked_lists = sharded.topk_many(
-                self.scorer, [list(terms) for terms in pending], fetch,
-                strategy)
+                self.scorer, [list(terms) for terms in pending], fetch)
             for terms, ranked in zip(pending, ranked_lists):
                 if fuse:
                     ranked = self._fuse(terms, ranked, limit,
@@ -337,8 +326,8 @@ class Searcher:
                       rrf_k: int) -> tuple:
         """The cache-key segment distinguishing result families.
 
-        Lexical strategies — and hybrid with ``vector_weight == 0``,
-        which returns lexical results verbatim — share one family;
+        ``"auto"`` and hybrid with ``vector_weight == 0``, which returns
+        lexical results verbatim, share one family;
         fusing runs are keyed by their fusion parameters and embedder
         identity so a tuned request can never serve a default-tuned
         entry (or vice versa).
@@ -397,20 +386,18 @@ class Searcher:
         elif strategy == "hybrid" and vector_weight > 0:
             ranked = self._hybrid_ranked(terms, limit, vector_weight, rrf_k)
         else:
-            # Lexical fast path.  "hybrid" with weight 0 lands here too
-            # (retrieve() resolves its lexical component as "auto"), so
-            # it is rank- AND score-identical to the lexical strategies
-            # — the identity the property suite pins.
-            ranked = self._fast_ranked(terms, limit, strategy)
+            # Lexical fast path.  "hybrid" with weight 0 lands here too,
+            # so it is rank- AND score-identical to "auto" — the
+            # identity the property suite pins.
+            ranked = self._fast_ranked(terms, limit)
         return self._store_hits(terms, limit, family, ranked)
 
-    def _fast_ranked(self, terms: tuple[str, ...], fetch: int,
-                     strategy: str) -> list[tuple[str, float]]:
+    def _fast_ranked(self, terms: tuple[str, ...],
+                     fetch: int) -> list[tuple[str, float]]:
         if self.shards >= 2:
-            return self._sharded_topk().topk(self.scorer, list(terms),
-                                             fetch, strategy)
-        return retrieve(self.index.snapshot(), self.scorer, list(terms),
-                        fetch, strategy)
+            return self._sharded_topk().topk(self.scorer, list(terms), fetch)
+        return topk_scores(self.index.snapshot(), self.scorer, list(terms),
+                           fetch)
 
     def _hybrid_ranked(self, terms: tuple[str, ...], limit: int,
                        vector_weight: float,
@@ -420,9 +407,9 @@ class Searcher:
         index has no vectors for the searcher's embedder."""
         if self._vector_index() is None:
             self._note_fallback()
-            return self._fast_ranked(terms, limit, strategy="hybrid")
+            return self._fast_ranked(terms, limit)
         fetch = max(limit * HYBRID_DEPTH_MULTIPLIER, limit)
-        lexical = self._fast_ranked(terms, fetch, strategy="hybrid")
+        lexical = self._fast_ranked(terms, fetch)
         return self._fuse(terms, lexical, limit, vector_weight, rrf_k)
 
     def _fuse(self, terms: tuple[str, ...],

@@ -17,8 +17,8 @@ Each scorer can additionally support the top-k fast path in
     ``(doc_ids, contributions)`` sequences.  Must compute *bit-identical*
     floats to the exhaustive :meth:`Scorer.scores` accumulation so the fast
     path stays rank-identical (contributions are cached per term in the
-    :class:`~repro.ir.index.IndexSnapshot`, which is the max-score /
-    WAND-style "precompute upper bounds at index time" trick).
+    :class:`~repro.ir.index.IndexSnapshot`, which is the max-score
+    "precompute upper bounds at index time" trick).
 
 ``finalize(snapshot, doc_id, raw)``
     Map an accumulated raw score to the final score (TF-IDF's length
@@ -29,18 +29,6 @@ Each scorer can additionally support the top-k fast path in
     An upper bound of ``finalize`` over *every* document that can appear in
     a postings list, given a raw-score upper bound.  Used to decide when no
     unseen document can still enter the top k.
-
-``prune_bound(snapshot, score)``
-    The raw-space inverse of ``ceiling``: a raw value ``r`` such that
-    ``ceiling(snapshot, raw) < score`` for every ``raw < r`` (``None``
-    when no inverse is available).  Optional — purely a fast path: the
-    document-at-a-time pivot scan in :mod:`repro.ir.wand` turns one
-    ``ceiling`` call per cursor prefix into plain float comparisons
-    against ``r``.  Implementations must never *overestimate* ``r``
-    (skipping too much breaks rank identity); underestimating merely
-    evaluates a few extra documents, so the built-ins nudge their inverse
-    down two ulps wherever a float multiply/divide round-trip could
-    overshoot.
 
 ``cache_key()``
     A hashable identity of the scorer parameters, keying both the
@@ -119,26 +107,6 @@ class Scorer:
     def ceiling(self, snapshot: IndexSnapshot, raw: float) -> float:
         return raw
 
-    def prune_bound(self, snapshot: IndexSnapshot,
-                    score: float) -> float | None:
-        """Raw-space inverse of :meth:`ceiling` (see the module docstring).
-
-        ``None`` — the safe default — makes the document-at-a-time path
-        fall back to per-prefix :meth:`ceiling` calls.  A subclass that
-        overrides :meth:`ceiling` must override this consistently (or
-        leave it ``None``); the built-ins all provide exact or
-        conservatively-nudged inverses.
-        """
-        return None
-
-
-def _nudge_down(value: float) -> float:
-    """Two ulps below ``value`` — the safety margin for prune bounds
-    derived through a float multiply/divide round-trip (see the
-    ``prune_bound`` contract in the module docstring)."""
-    down = math.nextafter(value, -math.inf)
-    return math.nextafter(down, -math.inf)
-
 
 class TfIdfScorer(Scorer):
     """Cosine-flavoured TF-IDF: sum over terms of (1+log tf) * idf, with
@@ -211,13 +179,6 @@ class TfIdfScorer(Scorer):
         shortest = snapshot.min_document_length
         return raw / math.sqrt(shortest) if shortest > 0 else raw
 
-    def prune_bound(self, snapshot: IndexSnapshot,
-                    score: float) -> float | None:
-        shortest = snapshot.min_document_length
-        if shortest <= 0:
-            return score
-        return _nudge_down(score * math.sqrt(shortest))
-
 
 class PriorWeightedScorer(Scorer):
     """Wraps a base scorer with per-document static priors.
@@ -284,11 +245,6 @@ class PriorWeightedScorer(Scorer):
     def ceiling(self, snapshot: IndexSnapshot, raw: float) -> float:
         return self.base.ceiling(snapshot, raw) * self._max_prior
 
-    def prune_bound(self, snapshot: IndexSnapshot,
-                    score: float) -> float | None:
-        base_score = _nudge_down(score / self._max_prior)
-        return self.base.prune_bound(snapshot, base_score)
-
 
 class Bm25Scorer(Scorer):
     """Okapi BM25 with parameters ``k1`` (tf saturation) and ``b`` (length)."""
@@ -337,12 +293,6 @@ class Bm25Scorer(Scorer):
 
     def supports_topk(self) -> bool:
         return True
-
-    def prune_bound(self, snapshot: IndexSnapshot,
-                    score: float) -> float | None:
-        # BM25 needs no finalization, so the ceiling is the identity and
-        # its raw-space inverse is exact.
-        return score
 
     def term_contributions(
         self, snapshot: IndexSnapshot, term: str,

@@ -62,8 +62,7 @@ from collections.abc import Iterable
 from concurrent.futures import Executor, ProcessPoolExecutor
 
 from repro.ir.index import IndexSnapshot
-from repro.ir.topk import merge_ranked
-from repro.ir.wand import retrieve
+from repro.ir.topk import merge_ranked, topk_scores
 
 __all__ = ["shard_id", "shard_snapshot", "ShardedTopK", "TermBloomFilter",
            "PARALLELISM_MODES"]
@@ -271,21 +270,17 @@ def _init_worker(entries: list[tuple[str, object]]) -> None:
     ]
 
 
-def _score_shard_batch_worker(shard_index: int, scorer, term_lists, limit,
-                              strategy):
+def _score_shard_batch_worker(shard_index: int, scorer, term_lists, limit):
     shard = _WORKER_SHARDS[shard_index]
-    return [retrieve(shard, scorer, terms, limit, strategy)
-            for terms in term_lists]
+    return [topk_scores(shard, scorer, terms, limit) for terms in term_lists]
 
 
 class ShardedTopK:
     """Parallel top-k over the shards of one frozen snapshot.
 
     Rank-identical to :func:`~repro.ir.topk.topk_scores` on the unsharded
-    snapshot (property-tested), with or without Bloom routing, under every
-    retrieval strategy (:meth:`topk`/:meth:`topk_many` take a
-    ``strategy`` — maxscore, WAND, block-max, or per-query ``auto``; see
-    :mod:`repro.ir.wand`).  The
+    snapshot (property-tested), with or without Bloom routing; every
+    shard runs that same max-score path.  The
     executor is created lazily on first use and shut down by :meth:`close`
     (also a context manager).  In process mode the scorer is pickled per
     call, so scorers must be picklable *and* should use value-based
@@ -399,22 +394,18 @@ class ShardedTopK:
             )
         return self._executor
 
-    def topk(self, scorer, terms: list[str], limit: int,
-             strategy: str = "auto") -> list[tuple[str, float]]:
+    def topk(self, scorer, terms: list[str],
+             limit: int) -> list[tuple[str, float]]:
         """The global top-``limit`` ``(doc_id, score)`` list for one query."""
-        return self.topk_many(scorer, [terms], limit, strategy)[0]
+        return self.topk_many(scorer, [terms], limit)[0]
 
     def topk_many(self, scorer, term_lists: list[list[str]],
-                  limit: int,
-                  strategy: str = "auto") -> list[list[tuple[str, float]]]:
+                  limit: int) -> list[list[tuple[str, float]]]:
         """Top-``limit`` lists for a batch of queries, in input order.
 
         One task per shard scores the queries routed to that shard
         (Bloom-filtered unless ``route=False``), then per-query results
-        are merged across the shards that ran them.  ``strategy`` picks
-        the per-shard retrieval algorithm (see :mod:`repro.ir.wand`); it
-        ships to the workers unresolved, so ``"auto"`` resolves per query
-        inside each shard task — results are identical either way.
+        are merged across the shards that ran them.
         """
         if not term_lists:
             return []
@@ -449,16 +440,15 @@ class ShardedTopK:
                  for shard_index, plan in enumerate(plans) if plan]
         if self.parallelism == "serial":
             results = [
-                [retrieve(self.shards[shard_index], scorer,
-                          term_lists[i], limit, strategy) for i in plan]
+                [topk_scores(self.shards[shard_index], scorer,
+                             term_lists[i], limit) for i in plan]
                 for shard_index, plan in tasks
             ]
         else:
             executor = self._ensure_executor()
             futures = [
                 executor.submit(_score_shard_batch_worker, shard_index,
-                                scorer, [term_lists[i] for i in plan], limit,
-                                strategy)
+                                scorer, [term_lists[i] for i in plan], limit)
                 for shard_index, plan in tasks
             ]
             results = [future.result() for future in futures]

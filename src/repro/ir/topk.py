@@ -1,14 +1,16 @@
 """Top-k fast-path retrieval: bounded-heap accumulation with max-score
 early termination.
 
-This is the hot path behind :meth:`repro.ir.retrieval.Searcher.search`.
-The exhaustive path materializes a full score dict over every matching
+This is the one lexical fast path, behind
+:meth:`repro.ir.retrieval.Searcher.search`, every shard of
+:class:`~repro.ir.shard.ShardedTopK`, and :func:`retrieve`.  The
+exhaustive path materializes a full score dict over every matching
 document and sorts all of it; here we instead:
 
 1. pull per-term contribution arrays (and their max-score upper bounds)
    from the :class:`~repro.ir.index.IndexSnapshot`, where they are
    precomputed once per (scorer, term) and reused across queries — the
-   WAND/max-score "index-time upper bounds" idea;
+   max-score "index-time upper bounds" idea;
 2. accumulate term-at-a-time, in query-term order, and stop *admitting new
    candidates* as soon as the remaining terms' summed upper bounds cannot
    lift an unseen document past the current k-th best score;
@@ -33,6 +35,9 @@ as the exhaustive scorer, including the ``(-score, doc_id)`` tie-break:
 
 The strictness of the comparison (prune only when the ceiling is strictly
 below the threshold score) is what keeps tie-broken rankings identical.
+
+Why there is only one lexical path: ``docs/ARCHITECTURE.md``, "One
+lexical top-k path".
 """
 
 from __future__ import annotations
@@ -41,7 +46,15 @@ import heapq
 
 from repro.ir.index import IndexSnapshot
 
-__all__ = ["TopKHeap", "topk_scores", "merge_ranked"]
+__all__ = ["STRATEGIES", "TopKHeap", "topk_scores", "merge_ranked",
+           "retrieve"]
+
+#: Retrieval strategies every search surface accepts (``Searcher``,
+#: ``LoadOptions``, ``SearchRequest``, the CLI ``--strategy`` flag).
+#: ``"auto"`` is the max-score path of this module.  ``"hybrid"`` fuses
+#: it with vector retrieval; the fusion lives in
+#: :class:`~repro.ir.retrieval.Searcher`, which owns the vector side.
+STRATEGIES = ("auto", "hybrid")
 
 
 class _Entry:
@@ -183,3 +196,21 @@ def topk_scores(snapshot: IndexSnapshot, scorer, terms: list[str],
     for doc_id, raw in accumulator.items():
         best.offer(doc_id, finalize(snapshot, doc_id, raw))
     return best.ranked()
+
+
+def retrieve(snapshot: IndexSnapshot, scorer, terms: list[str], limit: int,
+             strategy: str = "auto") -> list[tuple[str, float]]:
+    """The ``limit`` best ``(doc_id, score)`` pairs for ``terms`` — the
+    snapshot-level entry point that validates ``strategy``.
+
+    Both strategies run :func:`topk_scores` here: ``"hybrid"`` executes
+    only its lexical component at this level (the vector side and the
+    rank fusion live in :class:`~repro.ir.retrieval.Searcher`).
+
+    Raises:
+        ValueError: on a strategy not in :data:`STRATEGIES`.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(
+            f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    return topk_scores(snapshot, scorer, terms, limit)

@@ -8,10 +8,8 @@ explicit, *batched* object instead of a monolithic per-query method:
 - :mod:`repro.serve.plan` — :class:`~repro.serve.plan.QueryPlan` /
   :class:`~repro.serve.plan.PlannedTask`: one query's decided retrieval
   work (materializations, per-definition IR tasks, the flat backfill),
-  with the retrieval strategy resolved by the df-skew cost model
-  (:func:`repro.ir.wand.resolve_strategy`) against snapshot statistics
-  at planning time and per-definition Bloom filters pruning tasks that
-  provably cannot match.
+  with per-definition Bloom filters pruning tasks that provably cannot
+  match.
 - :mod:`repro.serve.stages` — :class:`~repro.serve.stages.PipelineStage`
   and the five concrete stages (segment → match → plan → execute →
   assemble), each batch-native: N queries segmented together, matched
@@ -26,7 +24,7 @@ explicit, *batched* object instead of a monolithic per-query method:
 - :mod:`repro.serve.explain` — the rewritten
   :class:`~repro.serve.explain.SearchExplanation` carrying the full
   stage trace (per-stage wall time, cache hits/misses, shards routed,
-  strategy chosen, rejected candidates).
+  strategy requested, rejected candidates).
 - :mod:`repro.serve.pool` — :class:`~repro.serve.pool.SearcherPool`,
   the bounded LRU searcher cache the collection hands the pipeline,
   with lease-based pinning so eviction never closes a searcher a batch

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.answer import Answer
-from repro.ir.wand import STRATEGIES
+from repro.ir.topk import STRATEGIES
 from repro.serve.explain import SearchExplanation, StageTiming
 
 __all__ = [
@@ -62,7 +62,7 @@ class SearchRequest:
     time gets a 504), ignored by the in-process path where there is no
     queue to wait in.  ``strategy`` overrides the engine's configured
     retrieval strategy for this request only (one of
-    :data:`repro.ir.wand.STRATEGIES`, e.g. ``"hybrid"``; ``None`` = the
+    :data:`repro.ir.topk.STRATEGIES`, e.g. ``"hybrid"``; ``None`` = the
     engine default).
     """
 

@@ -4,8 +4,7 @@
 assemble stage emits and ``repro search --explain`` renders.  Compared
 to the original engine's trace it additionally carries the *decisions*
 and *instrumentation* of the staged pipeline: the query plan, the
-strategy the df-skew cost model chose for flat retrieval, per-stage
-wall times, result-cache hits/misses, and shard routing counts — and
+retrieval strategy the request asked for, per-stage wall times, result-cache hits/misses, and shard routing counts — and
 its ``candidates`` include the definitions *rejected* below the match
 threshold (with a ``rejected`` flag) so a trace shows why a definition
 lost, not just who won.
@@ -39,8 +38,9 @@ class SearchExplanation:
     rejected)`` triples — ``rejected`` is true for definitions scored
     below the engine's match threshold, which earlier builds silently
     dropped from the trace.  ``plan`` holds one human-readable line per
-    planned retrieval task; ``strategy`` is the concrete strategy the
-    cost model resolved for flat retrieval.  The retrieval counters are
+    planned retrieval task; ``strategy`` is the request's effective
+    retrieval strategy (``"auto"`` or ``"hybrid"``).  The retrieval
+    counters are
     deltas measured across the batch's execute stage:
     ``cache_hits``/``cache_misses`` sum over every searcher the batch
     dispatched to (flat and per-definition), while the shard task

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.ir.vector import DEFAULT_RRF_K, DEFAULT_VECTOR_WEIGHT
-from repro.ir.wand import STRATEGIES
+from repro.ir.topk import STRATEGIES
 from repro.serve.explain import SearchExplanation, StageTiming
 from repro.serve.stages import (
     AssembleStage,
@@ -152,10 +152,6 @@ class QueryContext:
     explanation: SearchExplanation | None = None
     stage_timings: list[StageTiming] = field(default_factory=list)
     retrieval_stats: dict = field(default_factory=dict)
-    #: Retrieval targets this query actually dispatched to during
-    #: execute (``None`` = the flat index, else a definition name) —
-    #: assembly only re-labels strategies for tasks that ran.
-    executed_targets: set = field(default_factory=set)
     #: The collection's :attr:`~repro.core.collection.QunitCollection.
     #: lazy_loads` counter captured at plan time — assembly reports the
     #: delta as this batch's lazy snapshot loads (``None`` when the

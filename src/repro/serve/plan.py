@@ -1,21 +1,16 @@
 """Query plans: the decided retrieval work for one query.
 
 The plan stage turns a query's ranked definition matches into an
-explicit :class:`QueryPlan` *before* any retrieval runs, owning the two
-decisions the ROADMAP asked a real planner to make:
-
-- **Strategy routing.** The flat backfill's retrieval strategy is
-  resolved by the df-skew cost model
-  (:func:`repro.ir.wand.resolve_strategy`) against the flat snapshot's
-  statistics at planning time — rare-term-driven queries route to
-  document-at-a-time WAND earlier than the old query-length-only rule.
-  Every strategy is rank-identical, so routing only moves speed.
-- **Bloom pruning.** A partially-bound match needs IR retrieval over
-  its definition's index; when the definition's term Bloom filter (see
-  :meth:`~repro.core.collection.QunitCollection.definition_bloom`)
-  proves *no* query term has postings there, the task is planned as
-  skipped — the searcher would have returned nothing (Bloom filters
-  have no false negatives), so skipping is rank-identical.
+explicit :class:`QueryPlan` *before* any retrieval runs.  Its one
+decision is **Bloom pruning**: a partially-bound match needs IR
+retrieval over its definition's index; when the definition's term Bloom
+filter (see
+:meth:`~repro.core.collection.QunitCollection.definition_bloom`) proves
+*no* query term has postings there, the task is planned as skipped —
+the searcher would have returned nothing (Bloom filters have no false
+negatives), so skipping is rank-identical.  Each retrieval task also
+records the strategy the request asked for (``"auto"`` or
+``"hybrid"``).
 
 Plans are data, not behavior: the execute stage walks the tasks, and
 ``--explain`` prints them via :meth:`QueryPlan.describe`.
@@ -42,12 +37,8 @@ class PlannedTask:
 
     ``kind`` is one of :data:`TASK_KINDS`.  ``match`` carries the
     definition match behind a ``materialize``/``definition`` task
-    (``None`` for the flat backfill).  ``strategy`` is the concrete
-    retrieval strategy resolved at planning time — against the target
-    index's snapshot statistics when the snapshot already exists, by
-    the length-only rule otherwise (planning never builds an index; on
-    a cold collection the execute-time ``retrieve`` may still upgrade
-    the choice once statistics exist, rank-identically either way).
+    (``None`` for the flat backfill).  ``strategy`` is the request's
+    effective retrieval strategy (its override, else the engine's).
     ``bloom_skipped`` marks a definition task whose Bloom filter proved
     no query term can match.
     """

@@ -10,8 +10,8 @@ Each stage processes a whole batch of
    query (:meth:`~repro.core.search.matcher.QunitMatcher.match_many`).
 3. :class:`PlanStage` — decide each query's retrieval work up front: a
    :class:`~repro.serve.plan.QueryPlan` of materialize/definition/flat
-   tasks, with the flat strategy resolved by the df-skew cost model
-   against snapshot statistics and definition tasks Bloom-pruned.
+   tasks, each labelled with the query's effective strategy, and
+   definition tasks Bloom-pruned.
 4. :class:`ExecuteStage` — run every plan *batched*: the per-query
    execution logic is written once as a generator that yields retrieval
    requests, and the stage drives all generators in lockstep rounds,
@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from repro.ir.wand import resolve_strategy
 from repro.serve.explain import SearchExplanation
 from repro.serve.plan import PlannedTask, QueryPlan
 
@@ -104,10 +103,9 @@ class PlanStage(PipelineStage):
     match threshold, in rank order: fully-bound matches become
     ``materialize`` tasks, partially-bound ones ``definition`` tasks —
     pruned (``bloom_skipped``) when the definition's term Bloom filter
-    proves no query term has postings in its index.  The flat backfill
-    task's strategy is resolved here by the df-skew cost model against
-    the flat snapshot's statistics (the planner, not the scorer, owns
-    the routing decision the ROADMAP asked for).
+    proves no query term has postings in its index.  Every retrieval
+    task carries the query's effective strategy.  Planning never builds
+    an index: a fully-bound query may finish without one.
     """
 
     name = "plan"
@@ -116,13 +114,6 @@ class PlanStage(PipelineStage):
         """Fill ``ctx.plan`` for the whole batch."""
         collection = pipeline.collection
         analyzer = collection.analyzer
-        # Resolve against the flat snapshot's statistics when it already
-        # exists (always, after the first backfilling query); planning
-        # must never *build* the flat index — a fully-bound query may
-        # finish without it.  Without stats, resolve_strategy falls back
-        # to the length-only rule here and the execute-time retrieve()
-        # still applies the full cost model in-shard.
-        snapshot = collection.peek_global_snapshot()
         min_score = pipeline.config.min_match_score
         # Baseline for the explanation's lazy-load delta: snapshot files
         # a lazily-loaded collection mmaps between here and assembly are
@@ -146,14 +137,8 @@ class PlanStage(PipelineStage):
                     not bloom.might_match_any(terms)
                 tasks.append(PlannedTask(
                     kind="definition", definition=name, match=match,
-                    strategy=resolve_strategy(
-                        strategy, list(terms),
-                        collection.peek_definition_snapshot(name)),
-                    bloom_skipped=skipped))
-            flat = PlannedTask(
-                kind="flat",
-                strategy=resolve_strategy(strategy, list(terms), snapshot),
-            )
+                    strategy=strategy, bloom_skipped=skipped))
+            flat = PlannedTask(kind="flat", strategy=strategy)
             ctx.plan = QueryPlan(query=ctx.query, terms=terms,
                                  limit=ctx.limit, tasks=tuple(tasks),
                                  flat=flat)
@@ -238,8 +223,6 @@ class ExecuteStage(PipelineStage):
                     if target is None and flat is None:
                         flat = searcher
                         routing_before = dict(flat.routing_stats or {})
-                    for row in rows:
-                        row[0].executed_targets.add(target)
                     hit_lists = searcher.search_many(
                         [row[2].query for row in rows], fetch,
                         strategy=strategy,
@@ -370,7 +353,7 @@ class AssembleStage(PipelineStage):
     Mixed text + structure (the paper's Sec. 7 extension): free-text
     residue that the structural pipeline could not type re-ranks the
     candidate answers by how well their *content* covers it.  The
-    explanation carries the plan, the resolved strategy, the rejected
+    explanation carries the plan, the request's strategy, the rejected
     candidates, and the execute stage's retrieval counters; the
     pipeline patches in the final stage timings after this stage's own
     clock stops.
@@ -383,46 +366,7 @@ class AssembleStage(PipelineStage):
         for ctx in contexts:
             ctx.answers = self._apply_freetext_rerank(
                 ctx.segmented, ctx.answers, ctx.limit, pipeline)
-            self._finalize_strategy(ctx, pipeline)
             ctx.explanation = self._explanation(ctx, pipeline)
-
-    def _finalize_strategy(self, ctx, pipeline) -> None:
-        """Re-resolve strategies for the retrieval tasks this query
-        *actually dispatched*, so the trace reports what ran.
-
-        On a cold live collection the plan stage had no snapshot
-        statistics (it must not build an index), so it labeled tasks
-        with the length-only resolution — but the retrieval itself,
-        having just built its index, resolved the full df-skew model.
-        Resolution is deterministic per snapshot, so recomputing here
-        yields exactly the executed choice.  Tasks the query never
-        dispatched (limit filled earlier, Bloom-skipped) keep their
-        planning-time label — for them any strategy is hypothetical.
-        """
-        collection = pipeline.collection
-        strategy = pipeline.strategy_for(ctx)
-        terms = list(ctx.plan.terms)
-        executed = ctx.executed_targets
-        changed = False
-        flat_strategy = ctx.plan.flat.strategy
-        if None in executed:
-            flat_strategy = resolve_strategy(
-                strategy, terms, collection.peek_global_snapshot())
-            changed = flat_strategy != ctx.plan.flat.strategy
-        tasks = []
-        for task in ctx.plan.tasks:
-            if task.kind == "definition" and task.definition in executed:
-                resolved = resolve_strategy(
-                    strategy, terms,
-                    collection.peek_definition_snapshot(task.definition))
-                if resolved != task.strategy:
-                    task = replace(task, strategy=resolved)
-                    changed = True
-            tasks.append(task)
-        if changed:
-            ctx.plan = replace(ctx.plan, tasks=tuple(tasks),
-                               flat=replace(ctx.plan.flat,
-                                            strategy=flat_strategy))
 
     def _apply_freetext_rerank(self, segmented, answers, limit, pipeline):
         """Coverage re-rank against the query's untyped free-text terms."""

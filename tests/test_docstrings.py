@@ -12,7 +12,6 @@ import repro.bench.regression
 import repro.core.collection
 import repro.ir.persist
 import repro.ir.shard
-import repro.ir.wand
 
 
 def test_package_docstring_example():
@@ -32,7 +31,7 @@ def test_version():
 
 # -- docstring coverage ------------------------------------------------------
 
-COVERED_MODULES = [repro.ir.persist, repro.ir.shard, repro.ir.wand,
+COVERED_MODULES = [repro.ir.persist, repro.ir.shard,
                    repro.core.collection, repro.bench.regression]
 
 

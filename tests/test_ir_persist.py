@@ -1,6 +1,8 @@
 """Tests for persistent snapshot storage (save_snapshot/load_snapshot)."""
 
 import json
+import struct
+from pathlib import Path
 
 import pytest
 
@@ -292,7 +294,7 @@ class TestV3Rejection:
         # bodies parsed or held.
         from repro.errors import IndexError_
         from repro.ir.scoring import Bm25Scorer
-        from repro.ir.wand import retrieve
+        from repro.ir.topk import retrieve
 
         index, path = saved
         view = open_scoring_snapshot(path)
@@ -301,12 +303,42 @@ class TestV3Rejection:
         analyzer = live.analyzer
         for query in ("star wars", "ocean", "trek star wars", "zzz"):
             terms = analyzer.tokens(query)
-            for strategy in ("maxscore", "wand", "blockmax"):
-                assert retrieve(view, scorer, terms, 4, strategy=strategy) \
-                    == retrieve(live, scorer, terms, 4, strategy=strategy)
+            assert retrieve(view, scorer, terms, 4) == \
+                retrieve(live, scorer, terms, 4)
         assert len(view._documents) == 0
         with pytest.raises(IndexError_):
             view.document("a")
+
+
+#: A v3 snapshot of ``BODIES`` written by ``save_snapshot`` at commit
+#: 8f6961f (with ``_PRECOMPUTE_MIN_POSTINGS`` lowered to 1 so every term
+#: has scorer columns).  Builds of that era also wrote ``block_size`` and
+#: ``blocks`` entries next to each term's contribution column.
+OLDER_SNAPSHOT = Path(__file__).parent / "data" / "blockmax_v3.snap"
+
+
+class TestOlderSnapshots:
+    def test_fixture_still_carries_block_columns(self):
+        raw = OLDER_SNAPSHOT.read_bytes()
+        fields = struct.unpack_from("<12sI6Q", raw)
+        dir_off, dir_len = fields[4], fields[5]
+        directory = json.loads(raw[dir_off:dir_off + dir_len])
+        (per_term,) = directory["scorers"].values()
+        assert {"block_size", "blocks"} <= set(per_term["star"])
+
+    @pytest.mark.parametrize("opener", [load_snapshot,
+                                        open_scoring_snapshot])
+    def test_serves_float_exact_answers(self, opener):
+        from repro.ir.topk import retrieve
+
+        old = opener(OLDER_SNAPSHOT)
+        fresh = build_index(BODIES).snapshot()
+        for scorer in (Bm25Scorer(), TfIdfScorer()):
+            for query in ("star wars", "ocean", "trek star wars", "zzz",
+                          "star star cast ocean"):
+                terms = fresh.analyzer.tokens(query)
+                assert retrieve(old, scorer, terms, 5, "auto") == \
+                    retrieve(fresh, scorer, terms, 5, "auto")
 
 
 class TestDocumentStore:

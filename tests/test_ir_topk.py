@@ -7,7 +7,13 @@ from repro.ir.documents import Document
 from repro.ir.index import InvertedIndex
 from repro.ir.retrieval import Searcher
 from repro.ir.scoring import Bm25Scorer, PriorWeightedScorer, TfIdfScorer
-from repro.ir.topk import TopKHeap, merge_ranked, topk_scores
+from repro.ir.topk import (
+    STRATEGIES,
+    TopKHeap,
+    merge_ranked,
+    retrieve,
+    topk_scores,
+)
 
 
 def build_index(bodies: dict[str, str], weights: dict[str, float] | None = None):
@@ -178,6 +184,24 @@ class TestTopKScores:
         full = sorted(scorer.scores(index, terms).items(),
                       key=lambda item: (-item[1], item[0]))
         assert ranked == full[:3]
+
+
+class TestRetrieve:
+    def test_retrieve_dispatches_every_strategy(self):
+        snapshot = build_index({"a": "star wars", "b": "star trek",
+                                "c": "ocean wars", "d": "star ocean"}
+                               ).snapshot()
+        terms = ["star", "wars", "ocean"]
+        expected = topk_scores(snapshot, Bm25Scorer(), terms, 3)
+        assert STRATEGIES == ("auto", "hybrid")
+        for strategy in STRATEGIES:
+            assert retrieve(snapshot, Bm25Scorer(), terms, 3,
+                            strategy) == expected
+
+    def test_retrieve_rejects_unknown_strategy(self):
+        snapshot = build_index({"a": "star"}).snapshot()
+        with pytest.raises(ValueError, match="strategy"):
+            retrieve(snapshot, Bm25Scorer(), ["star"], 5, "bogus")
 
 
 class TestSearcherFastPath:

@@ -152,6 +152,28 @@ class TestTopKFastPathProperties:
         assert [(h.doc_id, h.score) for h in rerun] == \
                [(h.doc_id, h.score) for h in fast]
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # Duplicated bodies force score ties, so the (-score, doc_id)
+        # tie-break is exercised hard.
+        body_pool=st.lists(texts, min_size=1, max_size=4),
+        count=st.integers(min_value=2, max_value=12),
+        query=texts,
+        limit=st.integers(min_value=1, max_value=8),
+    )
+    def test_fast_path_identical_under_duplicate_scores(
+            self, body_pool, count, query, limit):
+        index = InvertedIndex(Analyzer(stem=False))
+        for i in range(count):
+            index.add(Document.create(
+                f"d{i}", {"body": body_pool[i % len(body_pool)]}))
+        searcher = Searcher(index, strategy="auto", cache_size=0)
+        expected = [(h.doc_id, h.score, h.rank)
+                    for h in searcher.search_exhaustive(query, limit)]
+        got = [(h.doc_id, h.score, h.rank)
+               for h in searcher.search(query, limit)]
+        assert got == expected
+
     @settings(max_examples=30, deadline=None)
     @given(
         bodies=st.lists(texts, min_size=1, max_size=8),
@@ -167,98 +189,6 @@ class TestTopKFastPathProperties:
         singles = [searcher.search(query, limit) for query in queries]
         assert [[(h.doc_id, h.score) for h in hits] for hits in batch] == \
                [[(h.doc_id, h.score) for h in hits] for hits in singles]
-
-
-class TestWandProperties:
-    """Document-at-a-time WAND and block-max must be rank- AND score-
-    identical (float-exact, not tolerance) to the term-at-a-time max-score
-    path and to exhaustive retrieval — duplicate-score tie-breaks,
-    duplicate query terms, empty and one-term queries included."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        bodies=st.lists(texts, min_size=1, max_size=12),
-        weights=st.lists(
-            st.sampled_from([0.1, 0.2, 0.5, 1.0, 2.5]),
-            min_size=12, max_size=12),
-        query=texts,
-        kind=st.sampled_from(
-            ["tfidf", "bm25", "bm25-tuned", "prior-tfidf", "prior-bm25"]),
-        limit=st.integers(min_value=0, max_value=12),
-        block_size=st.sampled_from([0, 1, 3, 64]),
-    )
-    def test_wand_identical_to_maxscore_and_exhaustive(
-            self, bodies, weights, query, kind, limit, block_size):
-        from repro.ir.topk import topk_scores
-        from repro.ir.wand import wand_scores
-
-        index = InvertedIndex(Analyzer(stem=False))
-        for i, body in enumerate(bodies):
-            index.add(Document.create(f"d{i}", {"body": body},
-                                      {"body": weights[i]}))
-        snapshot = index.snapshot()
-        scorer = _scorer_for(kind, len(bodies))
-        terms = snapshot.analyzer.tokens(query)
-        expected = topk_scores(snapshot, scorer, terms, limit)
-        got = wand_scores(snapshot, scorer, terms, limit,
-                          block_size=block_size)
-        assert got == expected  # same docs, bit-identical floats
-        searcher = Searcher(index, scorer)
-        exhaustive = [(h.doc_id, h.score)
-                      for h in searcher.search_exhaustive(query, limit)]
-        assert got == exhaustive
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        # Duplicated bodies force score ties, so the (-score, doc_id)
-        # tie-break is exercised hard.
-        body_pool=st.lists(texts, min_size=1, max_size=4),
-        count=st.integers(min_value=2, max_value=12),
-        query=texts,
-        limit=st.integers(min_value=1, max_value=8),
-        strategy=st.sampled_from(["maxscore", "wand", "blockmax", "auto"]),
-    )
-    def test_strategies_identical_under_duplicate_scores(
-            self, body_pool, count, query, limit, strategy):
-        index = InvertedIndex(Analyzer(stem=False))
-        for i in range(count):
-            index.add(Document.create(
-                f"d{i}", {"body": body_pool[i % len(body_pool)]}))
-        reference = Searcher(index, strategy="maxscore", cache_size=0)
-        candidate = Searcher(index, strategy=strategy, cache_size=0)
-        expected = [(h.doc_id, h.score, h.rank)
-                    for h in reference.search(query, limit)]
-        got = [(h.doc_id, h.score, h.rank)
-               for h in candidate.search(query, limit)]
-        assert got == expected
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        bodies=st.lists(texts, min_size=1, max_size=10),
-        queries=st.lists(texts, min_size=0, max_size=5),
-        kind=st.sampled_from(["tfidf", "bm25", "prior-bm25"]),
-        shards=st.integers(min_value=1, max_value=5),
-        limit=st.integers(min_value=0, max_value=10),
-        strategy=st.sampled_from(["wand", "blockmax", "auto"]),
-    )
-    def test_sharded_bloom_routed_wand_identical(
-            self, bodies, queries, kind, shards, limit, strategy):
-        # WAND dispatched per shard (Bloom routing on) must reproduce the
-        # unsharded max-score results exactly, batch API included.
-        from repro.ir.shard import ShardedTopK
-        from repro.ir.topk import topk_scores
-
-        index = InvertedIndex(Analyzer(stem=False))
-        for i, body in enumerate(bodies):
-            index.add(Document.create(f"d{i}", {"body": body}))
-        snapshot = index.snapshot()
-        scorer = _scorer_for(kind, len(bodies))
-        term_lists = [snapshot.analyzer.tokens(query) for query in queries]
-        expected = [topk_scores(snapshot, scorer, terms, limit)
-                    for terms in term_lists]
-        with ShardedTopK(snapshot, shards, "serial") as sharded:
-            got = sharded.topk_many(scorer, term_lists, limit, strategy)
-        assert got == expected
 
 
 class TestPersistenceProperties:
@@ -541,11 +471,11 @@ PIPELINE_QUERY_POOL = (
 _PIPELINE_ENGINES: dict = {}
 
 
-def _pipeline_engine(imdb_db, shards: int, strategy: str):
+def _pipeline_engine(imdb_db, shards: int):
     """A cached engine variant over the shared scale-0.15 database (one
-    collection per (shards, strategy), serial shard executors)."""
+    collection per shard count, serial shard executors)."""
     _cache = _PIPELINE_ENGINES
-    key = (id(imdb_db), shards, strategy)
+    key = (id(imdb_db), shards)
     if key not in _cache:
         from repro.core import QunitCollection
         from repro.core.derivation import imdb_expert_qunits
@@ -554,7 +484,7 @@ def _pipeline_engine(imdb_db, shards: int, strategy: str):
         collection = QunitCollection(
             imdb_db, imdb_expert_qunits(),
             max_instances_per_definition=60,
-            shards=shards, parallelism="serial", strategy=strategy)
+            shards=shards, parallelism="serial")
         _cache[key] = QunitSearchEngine(collection, flavor="expert")
     return _cache[key]
 
@@ -566,20 +496,19 @@ def _answer_keys(answers):
 class TestPipelineProperties:
     """The staged pipeline's batched path must be *answer- and
     order-identical* to the sequential per-query path — same instance
-    ids, same float-exact scores, same order — across retrieval
-    strategies, shard counts, and Bloom routing."""
+    ids, same float-exact scores, same order — across shard counts and
+    Bloom routing."""
 
     @settings(max_examples=25, deadline=None)
     @given(
         queries=st.lists(st.sampled_from(PIPELINE_QUERY_POOL),
                          min_size=0, max_size=5),
         shards=st.sampled_from([0, 2, 3]),
-        strategy=st.sampled_from(["auto", "maxscore", "wand", "blockmax"]),
         limit=st.integers(min_value=1, max_value=5),
     )
     def test_search_many_identical_to_mapped_search(
-            self, imdb_db, queries, shards, strategy, limit):
-        engine = _pipeline_engine(imdb_db, shards, strategy)
+            self, imdb_db, queries, shards, limit):
+        engine = _pipeline_engine(imdb_db, shards)
         batch = engine.search_many(queries, limit)
         singles = [engine.search(query, limit) for query in queries]
         assert [_answer_keys(answers) for answers in batch] == \
@@ -590,15 +519,14 @@ class TestPipelineProperties:
         queries=st.lists(st.sampled_from(PIPELINE_QUERY_POOL),
                          min_size=1, max_size=4),
         shards=st.sampled_from([2, 3]),
-        strategy=st.sampled_from(["auto", "wand", "blockmax"]),
         limit=st.integers(min_value=1, max_value=5),
     )
     def test_sharded_bloom_routed_engine_identical_to_serial(
-            self, imdb_db, queries, shards, strategy, limit):
+            self, imdb_db, queries, shards, limit):
         # The sharded engine Bloom-routes its flat dispatches; answers
-        # must match the unsharded max-score engine exactly.
-        serial = _pipeline_engine(imdb_db, 0, "maxscore")
-        sharded = _pipeline_engine(imdb_db, shards, strategy)
+        # must match the unsharded engine exactly.
+        serial = _pipeline_engine(imdb_db, 0)
+        sharded = _pipeline_engine(imdb_db, shards)
         assert [_answer_keys(answers)
                 for answers in sharded.search_many(queries, limit)] == \
                [_answer_keys(answers)

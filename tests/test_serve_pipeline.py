@@ -1,6 +1,6 @@
-"""Unit tests for the staged query pipeline (``repro.serve``): the
-df-skew cost model, EngineConfig knobs, per-definition Bloom pruning,
-stage middleware, the explanation trace, and the searcher pool."""
+"""Unit tests for the staged query pipeline (``repro.serve``):
+EngineConfig knobs, per-definition Bloom pruning, stage middleware, the
+explanation trace, and the searcher pool."""
 
 import pytest
 
@@ -11,85 +11,8 @@ from repro.core.store import CollectionStore, LoadOptions
 from repro.ir.analysis import Analyzer
 from repro.ir.documents import Document
 from repro.ir.index import InvertedIndex
-from repro.ir.wand import (
-    AUTO_SKEW_MIN_DF,
-    AUTO_SKEW_RATIO,
-    AUTO_WAND_MIN_TERMS,
-    resolve_strategy,
-)
 from repro.serve.pipeline import EngineConfig
 from repro.serve.pool import SearcherPool
-
-
-def _snapshot_with_dfs(df_map: dict[str, int]):
-    """A snapshot whose terms have exactly the given document
-    frequencies (one document per df unit, terms co-occurring)."""
-    index = InvertedIndex(Analyzer(stem=False))
-    total = max(df_map.values(), default=1)
-    for i in range(total):
-        body = " ".join(term for term, df in df_map.items() if i < df)
-        index.add(Document.create(f"d{i:04d}", {"body": body or "pad"}))
-    return index.snapshot()
-
-
-class TestDfSkewCostModel:
-    """Routing decisions at known df distributions: the cost model must
-    send rare-term-driven short queries to WAND, keep balanced short
-    queries on max-score, and leave explicit strategies untouched."""
-
-    def test_explicit_strategy_passes_through(self):
-        snapshot = _snapshot_with_dfs({"a": 100, "b": 2})
-        assert resolve_strategy("maxscore", ["a", "b"],
-                                snapshot) == "maxscore"
-        assert resolve_strategy("blockmax", ["a"], snapshot) == "blockmax"
-
-    def test_long_queries_route_to_wand_regardless_of_stats(self):
-        terms = ["t"] * AUTO_WAND_MIN_TERMS
-        assert resolve_strategy("auto", terms) == "wand"
-        assert resolve_strategy("auto", terms,
-                                _snapshot_with_dfs({"t": 1})) == "wand"
-
-    def test_skewed_two_term_query_routes_to_wand(self):
-        # rare df=2 vs common df=128: ratio 64 >= AUTO_SKEW_RATIO and
-        # the common term clears AUTO_SKEW_MIN_DF.
-        snapshot = _snapshot_with_dfs({"rare": 2, "common": 128})
-        assert resolve_strategy("auto", ["rare", "common"],
-                                snapshot) == "wand"
-
-    def test_balanced_two_term_query_stays_on_maxscore(self):
-        snapshot = _snapshot_with_dfs({"a": 128, "b": 100})
-        assert resolve_strategy("auto", ["a", "b"], snapshot) == "maxscore"
-
-    def test_skew_needs_a_long_enough_postings_list(self):
-        # Ratio is huge but the common term is below AUTO_SKEW_MIN_DF:
-        # nothing long enough to seek-skip, max-score wins.
-        assert AUTO_SKEW_MIN_DF > 30
-        snapshot = _snapshot_with_dfs({"rare": 1, "common": 30})
-        assert resolve_strategy("auto", ["rare", "common"],
-                                snapshot) == "maxscore"
-
-    def test_ratio_threshold_is_strict_enough(self):
-        # Just below the ratio: stays on max-score.
-        common = AUTO_SKEW_MIN_DF * 2
-        rare = int(common / AUTO_SKEW_RATIO) + 1
-        snapshot = _snapshot_with_dfs({"rare": rare, "common": common})
-        assert resolve_strategy("auto", ["rare", "common"],
-                                snapshot) == "maxscore"
-
-    def test_unindexed_terms_do_not_count_toward_skew(self):
-        # Only one term actually matches: no pair to skew against.
-        snapshot = _snapshot_with_dfs({"common": 128})
-        assert resolve_strategy("auto", ["common", "zzzz"],
-                                snapshot) == "maxscore"
-
-    def test_single_term_and_no_stats_stay_length_only(self):
-        snapshot = _snapshot_with_dfs({"common": 128})
-        assert resolve_strategy("auto", ["common"], snapshot) == "maxscore"
-        assert resolve_strategy("auto", ["rare", "common"]) == "maxscore"
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_strategy("bogus", ["a"])
 
 
 class TestEngineConfig:
@@ -316,8 +239,7 @@ class TestExplanationTrace:
     def test_plan_and_strategy_surface(self, expert_engine):
         explanation = expert_engine.explain("star wars cast")
         assert explanation.plan  # at least the flat backfill line
-        assert explanation.strategy in ("auto", "maxscore", "wand",
-                                        "blockmax")
+        assert explanation.strategy == "auto"
         assert any("materialize movie_full_credits" in line
                    for line in explanation.plan)
 
@@ -355,38 +277,23 @@ class TestExplanationTrace:
         second = engine.explain("star wars cast")
         assert second.cache_hits >= 1
 
-    def test_cold_explain_reports_executed_strategy(self, imdb_db):
-        # On a cold live collection the plan stage has no snapshot to
-        # resolve the cost model against, but the trace must still
-        # report the strategy the flat retrieval actually executed
-        # (resolution is re-run at assemble, post-snapshot-build).
-        def build():
-            # A sky-high match threshold rejects every structural
-            # candidate, so the query is guaranteed to execute the flat
-            # backfill (whose strategy the trace must report).
-            return QunitSearchEngine(
-                QunitCollection(imdb_db, imdb_expert_qunits(),
-                                max_instances_per_definition=20),
-                flavor="expert",
-                config=EngineConfig(min_match_score=2.0))
-
-        # Pick a df-skewed term pair from a warmed twin collection, so
-        # the cost model and the length-only fallback disagree on it.
-        probe = build()
-        snapshot = probe.collection.global_snapshot()
-        by_df = sorted(snapshot.terms(),
-                       key=lambda t: snapshot.document_frequency(t))
-        rare, common = by_df[0], by_df[-1]
-        query = f"{rare} {common}"
-        from repro.ir.wand import resolve_strategy
-
-        expected = resolve_strategy("auto", [rare, common], snapshot)
-        assert expected == "wand"  # the pair is skewed enough to flip
-        cold_engine = build()
-        assert cold_engine.collection.peek_global_snapshot() is None
-        assert cold_engine.explain(query).strategy == expected
-        # Warm resolution matches the model too.
-        assert probe.explain(query).strategy == expected
+    def test_cold_explain_reports_requested_strategy(self, imdb_db):
+        # The trace names the strategy the request asked for, unresolved,
+        # whether or not the flat index exists yet.
+        engine = QunitSearchEngine(
+            QunitCollection(imdb_db, imdb_expert_qunits(),
+                            max_instances_per_definition=20),
+            flavor="expert")
+        collection = engine.collection
+        # A fully-bound query is planned (and answered) without ever
+        # building the flat index.
+        explanation = engine.explain("star wars cast", limit=1)
+        assert explanation.strategy == "auto"
+        assert any("fully bound" in line for line in explanation.plan)
+        assert collection._global_index is None
+        # Free text that matches no definition runs the flat backfill.
+        assert engine.explain("zzzz qqqq wwww").strategy == "auto"
+        assert collection._global_index is not None
 
     def test_render_is_printable(self, expert_engine):
         text = expert_engine.explain("star wars cast").render()

@@ -7,6 +7,7 @@ served over HTTP are identical to in-process answers."""
 import asyncio
 import http.client
 import json
+import re
 import threading
 
 import pytest
@@ -446,6 +447,30 @@ class TestHybridOverHttp:
                                 {"query": "x", "strategy": "bogus"})
         assert status == 400
         assert "strategy" in data["error"]
+
+    @pytest.mark.parametrize("value", ["maxscore", "wand", "blockmax"])
+    def test_retired_strategies_fail_loudly(self, live_server, capsys,
+                                            value):
+        # Strategy names older builds accepted are refused at every
+        # entry point for outside input — never silently mapped to auto.
+        from repro.cli import main
+        from repro.ir import InvertedIndex, Searcher
+
+        named = "('auto', 'hybrid')"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            Searcher(InvertedIndex(), strategy=value)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            LoadOptions(strategy=value)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            SearchRequest.from_dict({"query": "x", "strategy": value})
+        status, data = _request(live_server, "POST", "/search",
+                                {"query": "x", "strategy": value})
+        assert status == 400
+        assert named in data["error"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "x", "--strategy", value])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_missing_vector_extents_serve_lexical_over_http(
             self, serve_collection, tmp_path):
