@@ -39,9 +39,10 @@ from repro.utils.text import normalize
 __all__ = ["HashingEmbedder", "DEFAULT_DIMS", "DEFAULT_NGRAM_SIZES"]
 
 #: Default vector width.  256 float64 buckets keep a 10k-document matrix
-#: around 20 MB — small enough to scan brute-force in pure python —
-#: while collisions stay rare for the n-gram vocabularies our synthetic
-#: corpora produce.
+#: around 20 MB, while collisions stay rare for the n-gram vocabularies
+#: our synthetic corpora produce.  A short query fills only a few dozen
+#: buckets, and the brute-force scan (:meth:`repro.ir.vector.VectorIndex.
+#: topk`) pays per non-zero query bucket, not per dim.
 DEFAULT_DIMS = 256
 
 #: Default character n-gram sizes.  Trigrams carry most of the typo

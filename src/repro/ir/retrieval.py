@@ -247,7 +247,7 @@ class Searcher:
                 self.scorer, [list(terms) for terms in pending], fetch)
             for terms, ranked in zip(pending, ranked_lists):
                 if fuse:
-                    ranked = self._fuse(terms, ranked, limit,
+                    ranked = self._fuse(terms, ranked, limit, fetch,
                                         vector_weight, rrf_k)
                 pending[terms] = self._store_hits(terms, limit, family,
                                                   ranked[:limit])
@@ -410,13 +410,13 @@ class Searcher:
             return self._fast_ranked(terms, limit)
         fetch = max(limit * HYBRID_DEPTH_MULTIPLIER, limit)
         lexical = self._fast_ranked(terms, fetch)
-        return self._fuse(terms, lexical, limit, vector_weight, rrf_k)
+        return self._fuse(terms, lexical, limit, fetch, vector_weight, rrf_k)
 
     def _fuse(self, terms: tuple[str, ...],
-              lexical: list[tuple[str, float]], limit: int,
+              lexical: list[tuple[str, float]], limit: int, fetch: int,
               vector_weight: float, rrf_k: int) -> list[tuple[str, float]]:
-        """Fuse a lexical ranking with the query's vector ranking."""
-        fetch = max(limit * HYBRID_DEPTH_MULTIPLIER, limit)
+        """Fuse a lexical ranking with the query's top-``fetch`` vector
+        ranking."""
         query_vector = self.embedder.embed_query(" ".join(terms))
         vector_ranked = self._vector_topk(query_vector, fetch)
         return reciprocal_rank_fusion(lexical, vector_ranked, limit,

@@ -4,8 +4,11 @@ The second scoring backend next to the inverted index.  A
 :class:`VectorIndex` holds one L2-normalized embedding per document
 (:mod:`repro.ir.embed`) in a flat float64 row-major matrix; cosine
 similarity is then a plain dot product, and :meth:`VectorIndex.topk`
-scans the matrix brute-force — no approximate structures, so results are
-exact and deterministic, and a pure-python scan stays fast at the
+scores every document brute-force — no approximate structures, so
+results are exact and deterministic.  The scan runs a column at a time
+over only the query's non-zero dims (hashed query vectors are sparse,
+document rows dense), in C-level ``map`` passes over strided views of
+the matrix, so the standard library alone keeps it fast at the
 collection sizes a single process serves.
 
 Shardability is the property the retrieval layer leans on: cosine
@@ -26,9 +29,12 @@ each ranking preserves the fused output.
 
 from __future__ import annotations
 
+import heapq
 import zlib
 from array import array
 from collections.abc import Iterable, Mapping
+from itertools import repeat
+from operator import add, mul
 
 __all__ = [
     "VectorIndex",
@@ -118,20 +124,32 @@ class VectorIndex:
         lexical retrieval paths use.  Documents with non-positive
         similarity are dropped — an all-zero query (text that normalizes
         to nothing) matches nothing rather than everything.
+
+        The kernel works a column at a time: for each non-zero query dim
+        ``j``, in ascending order, it folds ``q[j] * matrix[:, j]`` (a
+        strided view of the row-major matrix, not a copy) into every
+        document's running score.  Each score is therefore the plain
+        left-to-right sum ``score += q * d`` over ascending dims — never
+        ``sum()``, which compensates float sums on Python >= 3.12 — and
+        skipping a zero dim only omits a ``±0.0`` term that leaves the
+        partial sum unchanged, so scores are bit-identical to the full
+        row scan.  Query vectors are sparse (hashed n-grams of a short
+        query) while document rows are dense, so the column pass does a
+        fraction of the row scan's multiplies.
         """
         if limit <= 0 or not self.doc_ids:
             return []
         dims = self.dims
-        matrix = self.matrix
-        scored = []
-        for i, doc_id in enumerate(self.doc_ids):
-            base = i * dims
-            score = sum(q * d for q, d in
-                        zip(query_vector, matrix[base:base + dims]))
-            if score > 0.0:
-                scored.append((doc_id, score))
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[:limit]
+        scores = [0.0] * len(self.doc_ids)
+        with memoryview(self.matrix) as view:
+            for j, q in zip(range(dims), query_vector):
+                if q != 0.0:
+                    scores = list(map(add, scores,
+                                      map(mul, repeat(q), view[j::dims])))
+        ranked = heapq.nsmallest(limit, [
+            (-score, doc_id)
+            for score, doc_id in zip(scores, self.doc_ids) if score > 0.0])
+        return [(doc_id, -negated) for negated, doc_id in ranked]
 
     def restrict(self, doc_ids: Iterable[str]) -> "VectorIndex":
         """A new index holding only the rows for ``doc_ids`` (order

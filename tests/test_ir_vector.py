@@ -1,11 +1,16 @@
 """Unit and fault-path tests for the vector retrieval backend: the
 hashing embedder (``repro.ir.embed``), the cosine ``VectorIndex``
 (``repro.ir.vector``), persisted vector extents in the v3 container,
-and the hybrid strategy's graceful degradation when a loaded snapshot
-carries no usable vectors (saved without them)."""
+the hybrid strategy's graceful degradation when a loaded snapshot
+carries no usable vectors (saved without them), and the guard that the
+package runs on the standard library alone."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +120,13 @@ class TestVectorIndex:
         assert vectors.topk(query, 0) == []
         assert len(vectors.topk(query, 1)) == 1
 
+    def test_topk_sums_left_to_right(self):
+        # 1.0 + 1e-16 + 1e-16 rounds to 1.0 at each step.  A compensated
+        # sum (builtin sum() of floats on Python >= 3.12) would return
+        # 1.0000000000000002 and disagree with the left-to-right oracle.
+        vectors = VectorIndex(("a",), [1.0, 1e-16, 1e-16], 3, {})
+        assert vectors.topk((1.0, 1.0, 1.0), 1) == [("a", 1.0)]
+
     def test_restrict_keeps_rows_intact(self):
         vectors = VectorIndex.build(HashingEmbedder(), documents())
         subset = vectors.restrict(["d4", "d1", "phantom"])
@@ -158,6 +170,13 @@ class TestVectorPersistence:
         assert loaded.doc_ids == live.doc_ids
         assert loaded.matrix == live.matrix
         assert loaded.embedder_config == embedder.config()
+        # The served path scans the unpacked array, the oracle the built
+        # one: rankings must agree float for float.
+        for query in ("star wars", "ocean documentary", "forgoten film",
+                      "wars stars", "zzz"):
+            query_vector = embedder.embed_query(query)
+            assert loaded.topk(query_vector, 10) == \
+                   live.topk(query_vector, 10)
 
     def test_saved_without_vectors_returns_none(self, tmp_path):
         path = tmp_path / "no-vectors.snap"
@@ -182,6 +201,22 @@ class TestVectorPersistence:
         with pytest.raises(SnapshotError, match="vector"):
             save_snapshot(build_index().snapshot(),
                           tmp_path / "partial.snap", vectors=partial)
+
+
+class TestStdlibOnly:
+    def test_package_imports_no_numpy(self):
+        # `dependencies = []` is part of the contract: the cosine kernel
+        # and everything else must run on the standard library even
+        # where numpy happens to be importable.
+        script = ("import sys\n"
+                  "import repro, repro.ir, repro.serve, repro.core.store, "
+                  "repro.cli\n"
+                  "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
 
 
 class TestHybridFallback:

@@ -22,6 +22,28 @@ from repro.xmlview.tree import XmlNode
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
 texts = st.lists(words, min_size=0, max_size=12).map(" ".join)
 deweys = st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=8).map(tuple)
+# Vector entries: signed zeros are common (sparse query vectors), the
+# rest bounded so no product overflows.
+vector_entries = st.one_of(st.sampled_from([0.0, -0.0]),
+                           st.floats(min_value=-1.0, max_value=1.0))
+
+
+@st.composite
+def vector_cases(draw):
+    """``(doc_ids, flat matrix, dims, query vector)`` with duplicate rows
+    (so scores tie and break on doc_id) and doc_ids in an order unrelated
+    to row order."""
+    dims = draw(st.integers(min_value=1, max_value=8))
+    row = st.lists(vector_entries, min_size=dims, max_size=dims)
+    rows = draw(st.lists(row, min_size=0, max_size=6))
+    if rows:
+        rows += [rows[i] for i in draw(st.lists(
+            st.integers(min_value=0, max_value=len(rows) - 1), max_size=4))]
+    order = draw(st.permutations(range(len(rows))))
+    doc_ids = tuple(f"d{i}" for i in order)
+    query_vector = tuple(draw(st.lists(vector_entries, min_size=dims,
+                                       max_size=dims)))
+    return doc_ids, [d for r in rows for d in r], dims, query_vector
 
 
 class TestTextProperties:
@@ -390,6 +412,39 @@ class TestHybridProperties:
             [part.topk(query_vector, limit)
              for part in vectors.shard(count)], limit)
         assert merged == vectors.topk(query_vector, limit)
+
+    @staticmethod
+    def _reference_topk(doc_ids, flat, dims, query_vector, limit):
+        """The row-at-a-time scan the column kernel must reproduce: a
+        left-to-right ``score += q * d`` per row, full sort."""
+        scored = []
+        for i, doc_id in enumerate(doc_ids):
+            score = 0.0
+            for q, d in zip(query_vector, flat[i * dims:(i + 1) * dims]):
+                score += q * d
+            if score > 0.0:
+                scored.append((doc_id, score))
+        scored.sort(key=lambda pair: (-pair[1], pair[0]))
+        return scored[:limit]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=vector_cases(),
+           limit=st.one_of(st.sampled_from([0, 1]),
+                           st.integers(min_value=2, max_value=15)))
+    def test_vector_topk_equals_left_to_right_scan(self, case, limit):
+        from repro.ir.vector import VectorIndex
+
+        doc_ids, flat, dims, query_vector = case
+        vectors = VectorIndex(doc_ids, flat, dims, {})
+        assert vectors.topk(query_vector, limit) == self._reference_topk(
+            doc_ids, flat, dims, query_vector, limit)
+        # An all-zero query matches nothing; so does a non-positive one
+        # against non-negative rows (every product is <= 0).
+        assert vectors.topk((0.0,) * dims, limit) == []
+        nonneg = [abs(d) for d in flat]
+        nonpositive = tuple(-abs(q) for q in query_vector)
+        assert VectorIndex(doc_ids, nonneg, dims, {}).topk(
+            nonpositive, limit) == []
 
     @settings(max_examples=50, deadline=None)
     @given(
