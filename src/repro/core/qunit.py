@@ -17,7 +17,7 @@ from repro.core.presentation import ConversionTemplate, render_default
 from repro.errors import DerivationError, QueryError
 from repro.ir.documents import Document
 from repro.relational.algebra import execute
-from repro.relational.sql import compile_select, parse_select, split_return_clause
+from repro.relational.sql import parse_select, split_return_clause
 from repro.utils.text import normalize, to_identifier
 
 __all__ = ["ParamBinder", "QunitDefinition", "QunitInstance"]
@@ -197,8 +197,7 @@ class QunitDefinition:
         return [{binder.param: value} for value in values]
 
     def _enumerate_with_sql(self, database, limit: int | None) -> list[dict[str, object]]:
-        statement = parse_select(self.enumerator_sql)
-        plan = compile_select(statement, database)
+        plan = database.prepare(self.enumerator_sql)
         bindings: list[dict[str, object]] = []
         seen: set[tuple[object, ...]] = set()
         for row in execute(plan, database):
@@ -231,8 +230,7 @@ class QunitDefinition:
             raise QueryError(
                 f"qunit {self.name!r}: unbound parameters {sorted(missing)}"
             )
-        statement = parse_select(self.base_sql)
-        plan = compile_select(statement, database)
+        plan = database.prepare(self.base_sql)
         rows = list(execute(plan, database, params))
         return QunitInstance(definition=self, params=dict(params), rows=rows)
 

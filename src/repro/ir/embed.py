@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from functools import lru_cache
 
 from repro.ir.documents import Document
 from repro.utils.text import normalize
@@ -48,6 +49,26 @@ DEFAULT_DIMS = 256
 #: Default character n-gram sizes.  Trigrams carry most of the typo
 #: robustness; 4-grams sharpen precision on longer tokens.
 DEFAULT_NGRAM_SIZES = (3, 4)
+
+
+def _gram_slot(seed: int, dims: int, gram: str) -> tuple[int, float]:
+    """``(bucket, sign)`` of one n-gram: a pure function of the embedder
+    config and the gram (its size ``n`` is ``len(gram)``)."""
+    digest = hashlib.blake2b(
+        str(seed).encode("ascii") + b"\x00" + str(len(gram)).encode("ascii")
+        + b"\x00" + gram.encode("utf-8"),
+        digest_size=8).digest()
+    value = int.from_bytes(digest, "big")
+    return (value >> 1) % dims, 1.0 if value & 1 else -1.0
+
+
+#: Distinct n-grams whose (bucket, sign) stay memoised for document
+#: embedding.  The 871-document expert collection has ~9.1k, each seen
+#: ~60 times.  Queries do not use the memo: a server embeds ever-new
+#: queries for its whole life, and memoising their grams would only grow
+#: it.  Memoising a pure function leaves every vector bit-identical.
+GRAM_CACHE_SIZE = 1 << 14
+_document_gram_slot = lru_cache(maxsize=GRAM_CACHE_SIZE)(_gram_slot)
 
 
 class HashingEmbedder:
@@ -136,31 +157,26 @@ class HashingEmbedder:
 
     # -- embedding -----------------------------------------------------------
 
-    def _accumulate(self, buckets: list[float], text: str,
-                    weight: float) -> None:
+    def _accumulate(self, buckets: list[float], text: str, weight: float,
+                    slot=_gram_slot) -> None:
         """Add ``text``'s signed n-gram hashes into ``buckets``.
 
         The text is normalized and space-padded so n-grams see token
         boundaries; each (size, gram) pair hashes through one blake2b
-        digest to a bucket and a sign.  Accumulation order is the scan
-        order of the string — fully deterministic, so float sums are
-        bit-identical across runs.
+        digest to a bucket and a sign (``slot``: :func:`_gram_slot` or
+        its document memo).  Accumulation order is the scan order of the
+        string — fully deterministic, so float sums are bit-identical
+        across runs.
         """
         padded = f" {normalize(text)} "
         if padded == "  ":
             return
         dims = self.dims
-        prefix = str(self.seed).encode("ascii")
+        seed = self.seed
         for n in self.ngram_sizes:
             for start in range(len(padded) - n + 1):
-                gram = padded[start:start + n]
-                digest = hashlib.blake2b(
-                    prefix + b"\x00" + str(n).encode("ascii") + b"\x00"
-                    + gram.encode("utf-8"),
-                    digest_size=8).digest()
-                value = int.from_bytes(digest, "big")
-                sign = 1.0 if value & 1 else -1.0
-                buckets[(value >> 1) % dims] += sign * weight
+                bucket, sign = slot(seed, dims, padded[start:start + n])
+                buckets[bucket] += sign * weight
 
     @staticmethod
     def _normalized(buckets: list[float]) -> tuple[float, ...]:
@@ -187,5 +203,6 @@ class HashingEmbedder:
         buckets = [0.0] * self.dims
         for field_name, text in document.fields:
             if text:
-                self._accumulate(buckets, text, document.weight(field_name))
+                self._accumulate(buckets, text, document.weight(field_name),
+                                 _document_gram_slot)
         return self._normalized(buckets)

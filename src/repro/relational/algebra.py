@@ -5,15 +5,47 @@ yields qualified rows (dicts keyed ``alias.column``).  The operator set is
 the minimum a real engine needs to run the paper's base expressions and the
 baselines: scan (with aliasing), filter, project, hash equi-join, nested-loop
 theta join fallback, aggregate with grouping, sort, limit, distinct.
+
+A qunit instance is one definition's plan run under one binding, so the
+same plan runs once per binding.  Besides the plain interpreter, two access
+paths serve the ``Filter…(Scan)`` chains ("access paths") such plans are
+built from, and both yield exactly the rows, row order and key order of the
+plain interpreter:
+
+* **Index probe.**  A chain with a ``col = $param`` or ``col = literal``
+  conjunct reads ``database.hash_index(table, col).lookup(value)`` instead
+  of scanning, then applies every predicate of the chain to the probed
+  rows.  Exact because the lookup returns every row the conjunct accepts,
+  in ascending row id order, i.e. scan order:
+  :class:`~repro.relational.expr.Comparison` normalises only str/str
+  pairs and ``HashIndex`` keys text through the same ``normalize``;
+  non-text equality is hash-consistent Python ``==``; ``None`` matches on
+  neither path.  Anything extra the lookup returns (a NaN found by
+  identity) the re-applied predicate drops.  An unhashable value falls
+  back to the scan.
+* **Shared join inputs.**  A hash-join input that is an access path is
+  grouped once per database state as ``{_normalize_key(key): [row ids]}``
+  over its parameter-free predicates (:meth:`Database.memo`, cleared by
+  every insert).  On the build side the groups replace the per-run hash
+  table; on the probe side, opposite a per-run build, the matching row ids
+  are gathered per build key and replayed in ascending order — scan order.
+  Rows are qualified only when they match, and a parameter-dependent
+  predicate that the index cannot serve (``NOT p2.name = $x``) is checked
+  on those matched rows.
+
+Both paths run only when every column and parameter the chain reads
+resolves, so a malformed plan raises from the plain interpreter exactly as
+it always did.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import PlanError
-from repro.relational.expr import Expression, Params
+from repro.relational.expr import And, ColumnRef, Comparison, Expression, Literal, Param, Params
 
 __all__ = [
     "Plan",
@@ -38,6 +70,12 @@ class Plan:
 
     def children(self) -> tuple["Plan", ...]:
         return ()
+
+    @cached_property
+    def _access(self) -> "_AccessPath | None":
+        """This subtree as a ``Filter…(Scan)`` chain, or None.  Cached on
+        the (immutable) node, so a prepared plan analyses itself once."""
+        return _access_path(self)
 
     def output_columns(self, database: "Database") -> list[str]:  # noqa: F821
         """Qualified column names this operator produces, in order."""
@@ -211,9 +249,7 @@ def execute(plan: Plan, database, params: Params | None = None) -> Iterator[Qual
     if isinstance(plan, Scan):
         yield from _execute_scan(plan, database)
     elif isinstance(plan, Filter):
-        for row in execute(plan.child, database, params):
-            if plan.predicate.evaluate(row, params):
-                yield row
+        yield from _execute_filter(plan, database, params)
     elif isinstance(plan, Project):
         yield from _execute_project(plan, database, params)
     elif isinstance(plan, HashJoin):
@@ -233,10 +269,203 @@ def execute(plan: Plan, database, params: Params | None = None) -> Iterator[Qual
 
 
 def _execute_scan(plan: Scan, database) -> Iterator[QualifiedRow]:
-    table = database.table(plan.table)
+    names = plan.output_columns(database)
+    for row in database.table(plan.table):
+        # Stored rows hold every column in schema order.
+        yield dict(zip(names, row.values()))
+
+
+def _execute_filter(plan: Filter, database, params) -> Iterator[QualifiedRow]:
+    path = plan._access
+    if path is not None:
+        names = path.scan.output_columns(database)
+        if path.resolves(names, params):
+            target = path.probe_target(params)
+            if target is not None:
+                yield from _probe(path, target, names, database, params)
+                return
+    for row in execute(plan.child, database, params):
+        if plan.predicate.evaluate(row, params):
+            yield row
+
+
+# ---------------------------------------------------------------------------
+# Access paths: index probes and shared join inputs
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _AccessPath:
+    """A ``Filter…(Scan)`` chain: the scan and its predicates, innermost
+    first, split into parameter-free (``free``) and parameter-dependent
+    (``dependent``) ones.  ``equalities`` lists the ``column = operand``
+    conjuncts (operand a :class:`Param` or :class:`Literal`) an index
+    probe can serve, in chain order."""
+
+    scan: Scan
+    predicates: tuple[Expression, ...]
+    free: tuple[Expression, ...]
+    dependent: tuple[Expression, ...]
+    equalities: tuple[tuple[str, Param | Literal], ...]
+    references: frozenset[str]
+    params: frozenset[str]
+
+    def resolves(self, names: list[str], params: Params | None) -> bool:
+        """Whether every column (of the scan's qualified ``names``) and
+        parameter the chain reads is there — the condition under which a
+        fast path cannot skip an error the plain interpreter would raise."""
+        if self.params and (params is None or not self.params <= params.keys()):
+            return False
+        return self.references <= set(names)
+
+    def probe_target(self, params: Params | None) -> tuple[str, object] | None:
+        """``(column, value)`` of the first equality whose value is bound
+        under ``params`` and hashable, or None."""
+        for column, operand in self.equalities:
+            if isinstance(operand, Param):
+                if params is None or operand.name not in params:
+                    continue
+                value = params[operand.name]
+            else:
+                value = operand.value
+            try:
+                hash(value)
+            except TypeError:
+                continue
+            return column, value
+        return None
+
+    def column_of(self, qualified: str, names: list[str]) -> str | None:
+        """The stored column behind ``qualified``, if this scan has it."""
+        if qualified not in names:
+            return None
+        return qualified[len(self.scan.prefix) + 1:]
+
+
+def _access_path(plan: Plan) -> _AccessPath | None:
+    filters: list[Expression] = []
+    while isinstance(plan, Filter):
+        filters.append(plan.predicate)
+        plan = plan.child
+    if not isinstance(plan, Scan):
+        return None
+    predicates = tuple(reversed(filters))
     prefix = plan.prefix
-    for row in table:
-        yield {f"{prefix}.{name}": value for name, value in row.items()}
+    equalities: list[tuple[str, Param | Literal]] = []
+    for predicate in predicates:
+        for conjunct in _conjuncts(predicate):
+            if not (isinstance(conjunct, Comparison) and conjunct.op == "="):
+                continue
+            for column, operand in ((conjunct.left, conjunct.right),
+                                    (conjunct.right, conjunct.left)):
+                if (isinstance(column, ColumnRef) and column.table == prefix
+                        and isinstance(operand, (Param, Literal))):
+                    equalities.append((column.column, operand))
+                    break
+    references: set[str] = set()
+    params: set[str] = set()
+    for predicate in predicates:
+        references |= predicate.references()
+        params |= predicate.param_names()
+    return _AccessPath(
+        scan=plan,
+        predicates=predicates,
+        free=tuple(p for p in predicates if not p.param_names()),
+        dependent=tuple(p for p in predicates if p.param_names()),
+        equalities=tuple(equalities),
+        references=frozenset(references),
+        params=frozenset(params),
+    )
+
+
+def _conjuncts(expression: Expression) -> Iterator[Expression]:
+    if isinstance(expression, And):
+        yield from _conjuncts(expression.left)
+        yield from _conjuncts(expression.right)
+    else:
+        yield expression
+
+
+def _probe(path: _AccessPath, target: tuple[str, object], names: list[str],
+           database, params) -> Iterator[QualifiedRow]:
+    """The chain's rows via the hash index on the target column."""
+    column, value = target
+    scan = path.scan
+    table = database.table(scan.table)
+    predicates = path.predicates
+    for row_id in database.hash_index(scan.table, column).lookup(value):
+        row = dict(zip(names, table.row(row_id).values()))
+        if all(predicate.evaluate(row, params) for predicate in predicates):
+            yield row
+
+
+class _JoinInput:
+    """One run's view of an access path used as a hash-join input: the
+    shared key groups plus a per-run cache of matched, qualified rows
+    (``None`` for a row a parameter-dependent predicate rejects)."""
+
+    def __init__(self, path: _AccessPath, names: list[str],
+                 groups: dict[object, list[int]], database, params):
+        self.groups = groups
+        self._table = database.table(path.scan.table)
+        self._names = names
+        self._dependent = path.dependent
+        self._params = params
+        self._rows: dict[int, QualifiedRow | None] = {}
+
+    def row(self, row_id: int) -> QualifiedRow | None:
+        try:
+            return self._rows[row_id]
+        except KeyError:
+            pass
+        row: QualifiedRow | None = dict(zip(self._names,
+                                            self._table.row(row_id).values()))
+        params = self._params
+        if not all(predicate.evaluate(row, params)
+                   for predicate in self._dependent):
+            row = None
+        self._rows[row_id] = row
+        return row
+
+
+def _join_input(plan: Plan, key: str, database, params) -> _JoinInput | None:
+    """``plan`` as shared key groups on ``key``, or None when it is not an
+    access path, does not resolve, or is better served by an index probe
+    (a parameter-dependent chain that the probe narrows per run)."""
+    path = plan._access
+    if path is None:
+        return None
+    names = path.scan.output_columns(database)
+    if not path.resolves(names, params):
+        return None
+    column = path.column_of(key, names)
+    if column is None:
+        return None
+    if path.dependent and path.probe_target(params) is not None:
+        return None
+    scan = path.scan
+    groups = database.memo(
+        (scan.table, scan, path.free, column),
+        lambda: _key_groups(path, column, names, database))
+    return _JoinInput(path, names, groups, database, params)
+
+
+def _key_groups(path: _AccessPath, column: str, names: list[str],
+                database) -> dict[object, list[int]]:
+    """``{_normalize_key(value): [row ids]}`` over the rows that pass the
+    chain's parameter-free predicates; null keys never join."""
+    scan = path.scan
+    predicates = path.free
+    groups: dict[object, list[int]] = {}
+    for row_id, stored in enumerate(database.table(scan.table)):
+        value = stored[column]
+        if value is None:
+            continue
+        if predicates:
+            row = dict(zip(names, stored.values()))
+            if not all(predicate.evaluate(row) for predicate in predicates):
+                continue
+        groups.setdefault(_normalize_key(value), []).append(row_id)
+    return groups
 
 
 def _execute_project(plan: Project, database, params) -> Iterator[QualifiedRow]:
@@ -267,12 +496,42 @@ def _normalize_key(value: object) -> object:
 
 
 def _execute_hash_join(plan: HashJoin, database, params) -> Iterator[QualifiedRow]:
+    shared = _join_input(plan.right, plan.right_key, database, params)
+    if shared is not None:
+        groups, right_row = shared.groups, shared.row
+        for left_row in execute(plan.left, database, params):
+            key = left_row.get(plan.left_key)
+            if key is None:
+                continue
+            for row_id in groups.get(_normalize_key(key), ()):
+                matched = right_row(row_id)
+                if matched is not None:
+                    merged = dict(left_row)
+                    merged.update(matched)
+                    yield merged
+        return
     build: dict[object, list[QualifiedRow]] = {}
     for row in execute(plan.right, database, params):
         key = row.get(plan.right_key)
         if key is None:
             continue
         build.setdefault(_normalize_key(key), []).append(row)
+    shared = _join_input(plan.left, plan.left_key, database, params)
+    if shared is not None:
+        # Each left row has one key, so its id appears once: sorting the
+        # ids replays the matching left rows in scan order.
+        groups = shared.groups
+        hits = sorted((row_id, key) for key in build
+                      for row_id in groups.get(key, ()))
+        for row_id, key in hits:
+            left_row = shared.row(row_id)
+            if left_row is None:
+                continue
+            for right_row in build[key]:
+                merged = dict(left_row)
+                merged.update(right_row)
+                yield merged
+        return
     for left_row in execute(plan.left, database, params):
         key = left_row.get(plan.left_key)
         if key is None:

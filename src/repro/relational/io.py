@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+from collections.abc import Iterator
 
 from repro.errors import DatasetError
 from repro.relational.database import Database
@@ -64,20 +65,28 @@ def load_database(directory: str | pathlib.Path) -> Database:
                 f"{table_file}: header {header} does not match schema "
                 f"columns {table_schema.column_names}"
             )
-        for line_number, line in enumerate(lines[1:], start=2):
-            cells = line.split("\t")
-            if len(cells) != len(header):
-                raise DatasetError(
-                    f"{table_file}:{line_number}: expected {len(header)} "
-                    f"cells, found {len(cells)}"
-                )
-            values = {
-                name: _decode(cell, table_schema.column(name).type)
-                for name, cell in zip(header, cells)
-            }
-            database.table(table_schema.name).insert(values)
+        database.insert_many(table_schema.name,
+                             _decode_rows(table_file, table_schema, lines[1:]))
     database.assert_consistent()
     return database
+
+
+def _decode_rows(table_file: pathlib.Path, table_schema: TableSchema,
+                 lines: list[str]) -> Iterator[dict[str, object]]:
+    """Yield one value mapping per data line (the header already matched
+    the schema's columns)."""
+    columns = table_schema.columns
+    for line_number, line in enumerate(lines, start=2):
+        cells = line.split("\t")
+        if len(cells) != len(columns):
+            raise DatasetError(
+                f"{table_file}:{line_number}: expected {len(columns)} "
+                f"cells, found {len(cells)}"
+            )
+        yield {
+            column.name: _decode(cell, column.type)
+            for column, cell in zip(columns, cells)
+        }
 
 
 # ---------------------------------------------------------------------------
