@@ -623,12 +623,18 @@ def _command_serve(args) -> int:
     try:
         asyncio.run(_serve_forever(engine, _server_config(args), workers))
     except KeyboardInterrupt:
-        print("\nshutting down (draining in-flight batches)")
+        pass  # a second Ctrl-C during the drain
     return 0
 
 
 async def _serve_forever(engine, server_config, workers=None) -> None:
+    """Serve until Ctrl-C or SIGTERM, then drain and return.
+
+    SIGTERM gets the same graceful drain as Ctrl-C: it is how service
+    managers stop a server, and the only way to stop one started with
+    SIGINT ignored (a shell's background job)."""
     import asyncio
+    import signal
 
     from repro.serve.server import SearchServer
 
@@ -641,10 +647,17 @@ async def _serve_forever(engine, server_config, workers=None) -> None:
                   f"shared mmap snapshots")
         print("  POST /search  POST /search/batch  "
               "GET /healthz  GET /stats")
+        stop = asyncio.Event()
         try:
-            await asyncio.Event().wait()
+            asyncio.get_running_loop().add_signal_handler(signal.SIGTERM,
+                                                          stop.set)
+        except NotImplementedError:
+            pass  # no loop signal handlers on this platform: Ctrl-C only
+        try:
+            await stop.wait()
         except asyncio.CancelledError:
-            pass
+            pass  # Ctrl-C
+        print("\nshutting down (draining in-flight batches)", flush=True)
 
 
 async def _run_loadtest(engine, server_config, workload, limit,

@@ -24,9 +24,9 @@ Derivation is the expensive half of the paradigm;
 qunit definitions plus every index snapshot — to a directory, and
 :meth:`repro.core.store.CollectionStore.load` brings a
 collection back whose searchers serve straight from the loaded snapshots:
-no re-derivation, no instance materialization, no index rebuild on the
-query path (instances are still materialized lazily from the database
-when an answer's content is actually rendered).  ``shards``/
+no re-derivation, no index rebuild on the query path, and an answer
+materializes only its own instance from the database
+(:meth:`QunitCollection.instance`).  ``shards``/
 ``parallelism`` turn on sharded parallel scoring for the flat
 (collection-wide) searcher — see :mod:`repro.ir.shard`.
 
@@ -36,7 +36,8 @@ store holds every decorated instance document once, and the global,
 per-definition, and (when sharding is configured) per-shard snapshot
 files reference it by doc_id.  Loading shares the store's
 :class:`~repro.ir.documents.Document` objects across every snapshot, so a
-loaded generation pins exactly one copy of the documents.
+loaded generation pins at most one copy of the documents — and only of
+the ones queries have touched, since the store decodes on demand.
 """
 
 from __future__ import annotations
@@ -98,6 +99,9 @@ class QunitCollection:
         self.strategy = strategy
         self._instances: dict[str, list[QunitInstance]] = {}
         self._instance_by_id: dict[str, QunitInstance] = {}
+        # Per-definition instance_id -> bindings tables, so a retrieval
+        # hit materializes its own binding instead of the definition.
+        self._binding_tables: dict[str, dict[str, list[dict]]] = {}
         # On-demand materializations keyed by (definition, binding), so
         # repeat fully-bound queries skip re-running the definition's
         # SQL — the hot path of entity-heavy (Zipf-head) traffic.
@@ -208,12 +212,33 @@ class QunitCollection:
         return result
 
     def instance(self, instance_id: str) -> QunitInstance:
-        """Look up a materialized instance by id (materializes its
-        definition's instances if needed)."""
-        if instance_id not in self._instance_by_id:
-            definition_name = instance_id.split("::", 1)[0]
-            if definition_name in self.definitions:
-                self.instances_of(definition_name)
+        """Look up an instance by id, materializing only that instance.
+
+        An id with exactly one binding among its definition's (bounded)
+        bindings materializes that binding alone, through
+        :meth:`materialize` — the rows :meth:`instances_of` would
+        produce for it, so the answer is identical, but a retrieval hit
+        costs one instance's SQL instead of its whole definition's.  An
+        id shared by several bindings falls back to :meth:`instances_of`
+        (whose last non-empty binding wins); an id with no non-empty
+        binding is looked up among ingested documents
+        (:meth:`_restore_instance`).
+
+        Raises:
+            DerivationError: for ids none of those paths can resolve.
+        """
+        cached = self._instance_by_id.get(instance_id)
+        if cached is not None:
+            return cached
+        name = instance_id.split("::", 1)[0]
+        if name in self.definitions and name not in self._instances:
+            bindings = self._bindings_by_id(name).get(instance_id, ())
+            if len(bindings) == 1:
+                instance = self.materialize(name, bindings[0])
+                if not instance.is_empty:
+                    return instance
+            elif bindings:
+                self.instances_of(name)
         try:
             return self._instance_by_id[instance_id]
         except KeyError:
@@ -222,18 +247,36 @@ class QunitCollection:
                 return restored
             raise DerivationError(f"unknown qunit instance {instance_id!r}") from None
 
+    def _bindings_by_id(self, name: str) -> dict[str, list[dict]]:
+        """``instance_id -> [binding, ...]`` over one definition's bounded
+        bindings (:meth:`QunitDefinition.bindings` — the enumeration
+        :meth:`instances_of` materializes), built once and cached.
+        Enumerating bindings runs no base-expression SQL."""
+        table = self._binding_tables.get(name)
+        if table is None:
+            definition = self.definitions[name]
+            table = {}
+            for binding in definition.bindings(self.database,
+                                               self.max_instances):
+                instance_id = QunitInstance(definition, binding,
+                                            []).instance_id
+                table.setdefault(instance_id, []).append(binding)
+            self._binding_tables[name] = table
+        return table
+
     def _restore_instance(self, instance_id: str) -> QunitInstance | None:
         """Rebuild an ingested instance from its persisted document.
 
         An instance staged through ``CollectionWriter.stage_instance``
         in an *earlier process* is in the loaded snapshots and the
-        document store, but has no database derivation to materialize
-        from.  Its document metadata carries the definition name and
-        params, and its body field is the instance's rendered text, so
-        the answer renders without the database ever knowing the
-        instance.  Only already-loaded snapshots are consulted — this
-        lookup follows a retrieval hit, so the hit's snapshot is loaded;
-        nothing is force-loaded here.
+        document store, but no binding of its definition derives it from
+        the database (:meth:`instance` tries those first).  Its document
+        metadata carries the definition name and params, and its body
+        field is the instance's rendered text, so the answer renders
+        without the database ever knowing the instance.  Only
+        already-loaded snapshots are consulted — this lookup follows a
+        retrieval hit, so the hit's snapshot is loaded; nothing is
+        force-loaded here, and the store decodes only this document.
         """
         candidates = [snapshot
                       for snapshot in self._loaded_snapshots.values()
@@ -279,7 +322,10 @@ class QunitCollection:
             self._materialized.move_to_end(key)
             return cached
         instance = self.definition(name).materialize(self.database, params)
-        self._instance_by_id.setdefault(instance.instance_id, instance)
+        if not instance.is_empty:
+            # Empty instances are never answers (instances_of drops
+            # them too), so instance() must not find them by id.
+            self._instance_by_id.setdefault(instance.instance_id, instance)
         if key is not None:
             self._materialized[key] = instance
             while len(self._materialized) > self.MAX_MATERIALIZE_MEMO:

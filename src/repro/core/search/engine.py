@@ -191,12 +191,16 @@ class QunitSearchEngine:
              config: EngineConfig | None = None) -> "QunitSearchEngine":
         """An engine over a collection restored from :meth:`save` output.
 
-        Cold start skips derivation, materialization, and indexing — and
-        pins only the manifest plus snapshot headers up front
+        Cold start skips derivation and indexing — and pins only the
+        manifest plus snapshot headers up front
         (:class:`~repro.core.store.LoadOptions` with the default lazy
         pin): each snapshot mmaps on first query demand, so start-up
         cost no longer scales with definitions the traffic never
-        touches.  Retrieval is optionally sharded
+        touches.  Answers cost O(hits): each retrieval hit materializes
+        only its own instance from the database, and the document store
+        decodes only the documents hits return (see
+        :meth:`~repro.core.collection.QunitCollection.instance`).
+        Retrieval is optionally sharded
         (``shards``/``parallelism`` — see :mod:`repro.ir.shard`) and
         runs under ``strategy`` (one of
         :data:`repro.ir.topk.STRATEGIES`).

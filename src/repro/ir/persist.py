@@ -46,9 +46,10 @@ Document store
 A *document store* file (:func:`save_document_store`, UTF-8 JSON-lines
 with a header line and a sha256 footer) holds every decorated instance
 document — and its weighted length — exactly once.  Its header carries a
-``doc_id -> [byte offset, length]`` index so a shard server can read
-*only its partition's* documents (:func:`load_document_store_partition`)
-instead of parsing the store.  Snapshot files written with
+``doc_id -> [byte offset, length]`` index, so :func:`load_document_store`
+verifies the whole file at open but decodes each record only on first
+access, and a shard server reads *only its partition's* documents
+(:func:`load_document_store_partition`).  Snapshot files written with
 ``docstore=<name>`` store no document bodies; on load the referenced
 :class:`DocumentStore` supplies the shared
 :class:`~repro.ir.documents.Document` objects, so N snapshots over the
@@ -91,7 +92,9 @@ import mmap
 import os
 import struct
 import sys
+import weakref
 from array import array
+from bisect import bisect_left
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -274,14 +277,16 @@ class DocumentStore:
     or per-shard snapshots reference them.
     """
 
-    def __init__(self, analyzer: Analyzer, documents: dict[str, Document],
-                 doc_lengths: dict[str, float]):
+    def __init__(self, analyzer: Analyzer, documents: Mapping[str, Document],
+                 doc_lengths: Mapping[str, float]):
         """Wrap already-built mappings (no copies are taken).
 
         Args:
             analyzer: the analyzer the documents were tokenized with
                 (checked against snapshots loaded from this store).
-            documents: ``doc_id -> Document`` for every stored document.
+            documents: ``doc_id -> Document`` for every stored document
+                (a plain dict, or the decode-on-demand view
+                :func:`load_document_store` builds).
             doc_lengths: ``doc_id -> weighted length``, same keys.
         """
         self.analyzer = analyzer
@@ -308,12 +313,12 @@ def save_document_store(store: DocumentStore, path: str | os.PathLike) -> Path:
 
     The header carries a ``doc_index`` — ``doc_id -> [byte offset,
     length]`` of each document record, offsets relative to the end of the
-    header line — so partition loads
-    (:func:`load_document_store_partition`) can seek straight to their
-    own documents instead of parsing the whole store.  The index has to
-    live in the header (readable before any record), which is why the
-    record lines are serialized up front here: their exact byte lengths
-    are part of the header.
+    header line — so readers can seek straight to one document instead of
+    parsing the whole store (:func:`load_document_store` decodes records
+    on demand through it; :func:`load_document_store_partition` reads only
+    a partition's).  The index has to live in the header (readable before
+    any record), which is why the record lines are serialized up front
+    here: their exact byte lengths are part of the header.
 
     Raises:
         SnapshotError: if a document carries unserializable metadata.
@@ -339,18 +344,12 @@ def save_document_store(store: DocumentStore, path: str | os.PathLike) -> Path:
     return _write_checksummed(path, [header, *doc_lines])
 
 
-def load_document_store(path: str | os.PathLike) -> DocumentStore:
-    """Read a document store saved by :func:`save_document_store`.
-
-    Raises:
-        SnapshotError: on missing/truncated files, checksum mismatches,
-            and format-version mismatches.
-    """
-    path = Path(path)
-    lines = _read_lines(path)
-    if len(lines) < 2:
-        raise _corrupt(path, "missing header or footer (truncated?)")
-    header = _parse_line(path, lines[0], "header")
+def _store_header(path: Path, raw: bytes) -> dict:
+    """Parse and check a document store's header line (magic, version)."""
+    try:
+        header = _parse_line(path, raw.decode("utf-8"), "header")
+    except UnicodeDecodeError as exc:
+        raise _corrupt(path, f"header is not UTF-8 ({exc})") from exc
     if header.get("magic") != STORE_MAGIC:
         raise _corrupt(path, "not a qunits document store file (bad magic)")
     if header.get("format_version") != STORE_VERSION:
@@ -359,43 +358,251 @@ def load_document_store(path: str | os.PathLike) -> DocumentStore:
             f"{header.get('format_version')!r}; this build reads version "
             f"{STORE_VERSION}"
         )
-    footer_line = lines[-1]
-    if not footer_line.endswith("\n"):
+    return header
+
+
+def _decode_store_record(path: Path, raw: bytes, what: str,
+                         doc_id: str | None = None,
+                         ) -> tuple[str, Document, float]:
+    """Decode one document store record line, with the store's checks:
+    UTF-8, a JSON ``doc`` object, every required key — and, when the
+    caller located the record by ``doc_id`` through the header's
+    ``doc_index``, that it is that document's record."""
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _corrupt(path, f"{what} is not UTF-8 ({exc})") from exc
+    record = _parse_line(path, line, what)
+    if record.get("t") != "doc":
+        raise _corrupt(path, f"{what} has unexpected type "
+                             f"{record.get('t')!r}")
+    if doc_id is not None:
+        if record.get("id") != doc_id:
+            raise _corrupt(path, f"{what}: doc_index points at the record "
+                                 f"for {record.get('id')!r}")
+        record["id"] = doc_id  # one string object per id, not two
+    try:
+        return _doc_from_record(record)
+    except KeyError as exc:
+        raise _corrupt(path, f"{what}: missing required key "
+                             f"{exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise _corrupt(path, f"{what}: malformed record structure "
+                             f"({exc})") from exc
+
+
+class _StoreRecords:
+    """The records of one verified document store file, decoded on
+    demand.
+
+    Each record is read by offset (``os.pread`` on a descriptor this
+    object owns and closes when it is collected) and decoded on access.
+    Documents are decoded once and published once per id
+    (``dict.setdefault``), so every snapshot — on every thread — shares
+    one :class:`~repro.ir.documents.Document` object per document.
+    Lengths are not kept: the serving path reads them from the snapshot
+    columns, so a length lookup here decodes its record again.  No raw
+    record bytes are kept, and nothing of the file is mapped into the
+    process.
+    """
+
+    __slots__ = ("path", "_fd", "_ids", "_bounds", "documents",
+                 "__weakref__")
+
+    def __init__(self, path: Path, fd: int, ids: list[str],
+                 bounds: list[int]):
+        self.path = path
+        self._fd = fd
+        weakref.finalize(self, os.close, fd)
+        #: Record ``i`` holds document ``_ids[i]`` (ascending) at the
+        #: file's bytes ``[_bounds[i], _bounds[i + 1])``.
+        self._ids = ids
+        self._bounds = array("q", bounds)
+        #: The decoded documents, published once per id.
+        self.documents: dict[str, Document] = {}
+
+    def index(self, doc_id: str) -> int:
+        """The record index of ``doc_id``; ``KeyError`` if absent."""
+        try:
+            index = bisect_left(self._ids, doc_id)
+        except TypeError:
+            raise KeyError(doc_id) from None
+        if index == len(self._ids) or self._ids[index] != doc_id:
+            raise KeyError(doc_id)
+        return index
+
+    def decode(self, doc_id: str) -> tuple[str, Document, float]:
+        """Read and decode one record (``KeyError`` for unknown ids)."""
+        index = self.index(doc_id)
+        start = self._bounds[index]
+        try:
+            raw = os.pread(self._fd, self._bounds[index + 1] - start, start)
+        except OSError as exc:
+            raise SnapshotError(
+                f"cannot read snapshot file {str(self.path)!r}: "
+                f"{exc}") from exc
+        doc_id = self._ids[index]
+        return _decode_store_record(
+            self.path, raw, f"record {index + 1} ({doc_id!r})", doc_id)
+
+    def document(self, doc_id: str) -> Document:
+        try:
+            return self.documents[doc_id]
+        except KeyError:
+            doc_id, document, _ = self.decode(doc_id)
+            return self.documents.setdefault(doc_id, document)
+
+    def length(self, doc_id: str) -> float:
+        return self.decode(doc_id)[2]
+
+
+class _LazyStoreColumn(Mapping):
+    """One column (``document`` or ``length``) of a :class:`_StoreRecords`
+    as a mapping: keys come from the verified ``doc_index``, values from
+    the records on access.  Pickles as a plain dict — the open descriptor
+    does not cross processes."""
+
+    __slots__ = ("_records", "_value")
+
+    def __init__(self, records: _StoreRecords, value):
+        self._records = records
+        self._value = value
+
+    def __getitem__(self, doc_id: str):
+        return self._value(doc_id)
+
+    def __iter__(self):
+        return iter(self._records._ids)
+
+    def __len__(self) -> int:
+        return len(self._records._ids)
+
+    def __contains__(self, doc_id) -> bool:
+        try:
+            self._records.index(doc_id)
+        except KeyError:
+            return False
+        return True
+
+    def __reduce__(self):
+        return (dict, (dict(self),))
+
+
+def _tiled_ids(path: Path, doc_index, bounds: list[int],
+               base: int) -> list[str]:
+    """Check that the header's ``doc_index`` tiles the body exactly, in
+    doc_id order — one entry per record line, at that line's offset and
+    UTF-8 byte length — and return the ids in record order."""
+    if not isinstance(doc_index, dict) or len(doc_index) != len(bounds) - 1:
+        raise _corrupt(path, "doc_index does not list every record "
+                             "exactly once")
+    by_offset = {}
+    for doc_id, entry in doc_index.items():
+        try:
+            offset, size = entry
+            by_offset[base + offset] = (doc_id, size)
+        except (TypeError, ValueError) as exc:
+            raise _corrupt(path, f"doc_index entry for {doc_id!r} is "
+                                 f"unusable ({exc})") from exc
+    ids: list[str] = []
+    for index in range(len(bounds) - 1):
+        start = bounds[index]
+        doc_id, size = by_offset.get(start, (None, None))
+        if size != bounds[index + 1] - start:
+            raise _corrupt(path, f"doc_index does not tile the body "
+                                 f"(record {index + 1})")
+        if ids and not ids[-1] < doc_id:
+            raise _corrupt(path, f"doc_index is not in doc_id order "
+                                 f"(record {index + 1})")
+        ids.append(doc_id)
+    return ids
+
+
+def _verified_store_layout(path: Path, data: bytes,
+                           ) -> tuple[dict, int, list[int]]:
+    """The open-time checks of :func:`load_document_store` over the
+    file's bytes: header (magic, version), footer, record count,
+    whole-file sha256.  Returns the header, the header line's length, and
+    the record boundaries: record ``i`` (from 0) is the line at file
+    offsets ``[bounds[i], bounds[i + 1])``."""
+    size = len(data)
+    header_end = data.find(b"\n") + 1
+    if header_end == 0 or header_end >= size:
+        raise _corrupt(path, "missing header or footer (truncated?)")
+    header = _store_header(path, data[:header_end])
+    if not data.endswith(b"\n"):
         raise _corrupt(path, "unterminated final line (truncated?)")
-    footer = _parse_line(path, footer_line, "footer")
+    footer_start = data.rfind(b"\n", 0, size - 1) + 1
+    try:
+        footer = _parse_line(path, data[footer_start:].decode("utf-8"),
+                             "footer")
+    except UnicodeDecodeError as exc:
+        raise _corrupt(path, f"footer is not UTF-8 ({exc})") from exc
     if footer.get("t") != "end":
         raise _corrupt(path, "missing end-of-file footer (truncated?)")
-    body = lines[1:-1]
-    if footer.get("records") != len(body) or \
-            header.get("stored_documents") != len(body):
+    bounds = [header_end]
+    while bounds[-1] < footer_start:
+        bounds.append(data.find(b"\n", bounds[-1], footer_start) + 1)
+    records = len(bounds) - 1
+    if footer.get("records") != records or \
+            header.get("stored_documents") != records:
         raise _corrupt(path, f"expected {header.get('stored_documents')} "
-                             f"records, found {len(body)} (truncated?)")
-    digest = hashlib.sha256()
-    for line in lines[:-1]:
-        digest.update(line.encode("utf-8"))
-    if digest.hexdigest() != footer.get("sha256"):
+                             f"records, found {records} (truncated?)")
+    digest = hashlib.sha256(memoryview(data)[:footer_start]).hexdigest()
+    if digest != footer.get("sha256"):
         raise _corrupt(path, "checksum mismatch (corrupted)")
+    return header, header_end, bounds
 
+
+def load_document_store(path: str | os.PathLike) -> DocumentStore:
+    """Open a document store saved by :func:`save_document_store`.
+
+    Everything about the file is verified up front — magic, version,
+    footer, record count, the whole-file sha256, and that the header's
+    ``doc_index`` tiles the body exactly, in doc_id order — but records
+    decode on demand: the returned store's ``documents``/``doc_lengths``
+    are mappings whose values are read and decoded (with the per-record
+    checks) on access; each document is decoded once and shared.  A store
+    written before the ``doc_index`` existed is decoded eagerly.
+
+    Raises:
+        SnapshotError: on missing/truncated files, checksum mismatches,
+            format-version mismatches, and a ``doc_index`` that does not
+            tile the body — at open; on a malformed record when that
+            record is first read.
+    """
+    path = Path(path)
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+            header, header_end, bounds = _verified_store_layout(path, data)
+            doc_index = header.get("doc_index")
+            if doc_index is not None:
+                ids = _tiled_ids(path, doc_index, bounds, header_end)
+                # Records are read by offset from here on; the open file
+                # keeps a re-saved generation's pruned store readable.
+                records = _StoreRecords(path, os.dup(handle.fileno()),
+                                        ids, bounds)
+    except OSError as exc:
+        raise SnapshotError(
+            f"cannot read snapshot file {str(path)!r}: {exc}") from exc
+    analyzer = Analyzer.from_config(header.get("analyzer", {}))
+    if doc_index is not None:
+        return DocumentStore(analyzer,
+                             _LazyStoreColumn(records, records.document),
+                             _LazyStoreColumn(records, records.length))
+    # A store written before the offset index existed: decode it all now.
     documents: dict[str, Document] = {}
     doc_lengths: dict[str, float] = {}
-    try:
-        for i, line in enumerate(body):
-            record = _parse_line(path, line, f"record {i + 1}")
-            if record.get("t") != "doc":
-                raise _corrupt(
-                    path, f"record {i + 1} has unexpected type "
-                          f"{record.get('t')!r}")
-            doc_id, document, length = _doc_from_record(record)
-            if doc_id in documents:
-                raise _corrupt(path, f"duplicate document {doc_id!r}")
-            documents[doc_id] = document
-            doc_lengths[doc_id] = length
-    except KeyError as exc:
-        raise _corrupt(path, f"missing required key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise _corrupt(path, f"malformed record structure ({exc})") from exc
-    return DocumentStore(Analyzer.from_config(header.get("analyzer", {})),
-                         documents, doc_lengths)
+    for number in range(1, len(bounds)):
+        doc_id, document, length = _decode_store_record(
+            path, data[bounds[number - 1]:bounds[number]],
+            f"record {number}")
+        if doc_id in documents:
+            raise _corrupt(path, f"duplicate document {doc_id!r}")
+        documents[doc_id] = document
+        doc_lengths[doc_id] = length
+    return DocumentStore(analyzer, documents, doc_lengths)
 
 
 def load_document_store_partition(path: str | os.PathLike,
@@ -432,19 +639,7 @@ def load_document_store_partition(path: str | os.PathLike,
         first = handle.readline()
         if not first:
             raise _corrupt(path, "empty file")
-        try:
-            header = _parse_line(path, first.decode("utf-8"), "header")
-        except UnicodeDecodeError as exc:
-            raise _corrupt(path, f"header is not UTF-8 ({exc})") from exc
-        if header.get("magic") != STORE_MAGIC:
-            raise _corrupt(path, "not a qunits document store file "
-                                 "(bad magic)")
-        if header.get("format_version") != STORE_VERSION:
-            raise SnapshotError(
-                f"document store {str(path)!r} has format version "
-                f"{header.get('format_version')!r}; this build reads "
-                f"version {STORE_VERSION}"
-            )
+        header = _store_header(path, first)
         doc_index = header.get("doc_index")
         if doc_index is None:
             # Pre-index store: the only way to find a record is to read
@@ -462,25 +657,13 @@ def load_document_store_partition(path: str | os.PathLike,
             try:
                 offset, size = entry
                 handle.seek(base + offset)
-                raw = handle.read(size).decode("utf-8")
-            except (TypeError, ValueError, UnicodeDecodeError) as exc:
+                raw = handle.read(size)
+            except (TypeError, ValueError) as exc:
                 raise _corrupt(
                     path, f"doc_index entry for {doc_id!r} is unusable "
                           f"({exc})") from exc
-            record = _parse_line(path, raw, f"document {doc_id!r}")
-            if record.get("t") != "doc" or record.get("id") != doc_id:
-                raise _corrupt(
-                    path, f"doc_index for {doc_id!r} points at a "
-                          f"{record.get('t')!r} record for "
-                          f"{record.get('id')!r}")
-            try:
-                _, document, length = _doc_from_record(record)
-            except KeyError as exc:
-                raise _corrupt(
-                    path, f"missing required key {exc.args[0]!r}") from exc
-            except (TypeError, ValueError) as exc:
-                raise _corrupt(
-                    path, f"malformed record structure ({exc})") from exc
+            _, document, length = _decode_store_record(
+                path, raw, f"document {doc_id!r}", doc_id)
             documents[doc_id] = document
             doc_lengths[doc_id] = length
     return DocumentStore(Analyzer.from_config(header.get("analyzer", {})),
@@ -1152,6 +1335,38 @@ class _LazyDocuments(Mapping):
         return (dict, (dict(self),))
 
 
+class _StoreSubset(Mapping):
+    """``doc_id -> Document`` for the docstore layout: one snapshot's ids
+    over the generation's shared store mapping, so every snapshot hands
+    out the store's own (decoded-once) objects.  The ids are the keys of
+    ``members`` — the snapshot's own ``doc_id -> length`` dict, shared
+    rather than copied.  Pickles as a plain dict."""
+
+    __slots__ = ("_documents", "_members")
+
+    def __init__(self, documents: Mapping[str, Document],
+                 members: Mapping[str, float]):
+        self._documents = documents
+        self._members = members
+
+    def __getitem__(self, doc_id: str) -> Document:
+        if doc_id not in self._members:
+            raise KeyError(doc_id)
+        return self._documents[doc_id]
+
+    def __iter__(self):
+        return iter(self._members)
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __contains__(self, doc_id) -> bool:
+        return doc_id in self._members
+
+    def __reduce__(self):
+        return (dict, (dict(self),))
+
+
 # -- snapshot readers --------------------------------------------------------
 
 
@@ -1217,8 +1432,10 @@ def load_snapshot_with_header(path: str | os.PathLike,
     backing = _V3Backing.open(path)
     try:
         store = _resolve_v3_store(path, backing, store)
-        documents = _v3_documents(path, backing, store)
-        return _columnar_snapshot(path, backing, documents), backing.meta
+        doc_lengths = backing.doc_lengths_mapping()
+        documents = _v3_documents(path, backing, store, doc_lengths)
+        return (_columnar_snapshot(path, backing, documents, doc_lengths),
+                backing.meta)
     except BaseException:
         backing.close()
         raise
@@ -1243,27 +1460,28 @@ def _resolve_v3_store(path: Path, backing: _V3Backing,
 
 
 def _v3_documents(path: Path, backing: _V3Backing,
-                  store: DocumentStore | None):
-    """The documents mapping for a v3 load: store-shared dict for the
-    docstore layout, a lazily parsed view for the standalone layout."""
+                  store: DocumentStore | None, doc_lengths: dict):
+    """The documents mapping for a v3 load: for the docstore layout, a
+    view over the shared store restricted to the snapshot's ids (the keys
+    of its ``doc_lengths``; membership checked now, documents decoded by
+    the store on first access); for the standalone layout, a lazily
+    parsed view."""
     if backing.meta.get("docstore") is not None:
         if store is None:
             raise _corrupt(
                 path, "snapshot references a document store but the meta "
                       "blob names none")
-        documents: dict[str, Document] = {}
-        for doc_id in backing.doc_ids:
+        for doc_id in doc_lengths:
             if doc_id not in store.documents:
                 raise _corrupt(
                     path, f"document {doc_id!r} is not in the document "
                           f"store")
-            documents[doc_id] = store.documents[doc_id]
-        return documents
+        return _StoreSubset(store.documents, doc_lengths)
     return _LazyDocuments(backing)
 
 
-def _columnar_snapshot(path: Path, backing: _V3Backing,
-                       documents) -> ColumnarIndexSnapshot:
+def _columnar_snapshot(path: Path, backing: _V3Backing, documents,
+                       doc_lengths: dict) -> ColumnarIndexSnapshot:
     """Assemble the lazy column-backed snapshot over an open backing."""
     meta = backing.meta
     try:
@@ -1282,7 +1500,7 @@ def _columnar_snapshot(path: Path, backing: _V3Backing,
             analyzer=Analyzer.from_config(meta.get("analyzer", {})),
             documents=documents,
             postings=_LazyPostings(backing),
-            doc_lengths=backing.doc_lengths_mapping(),
+            doc_lengths=doc_lengths,
             doc_frequencies=doc_frequencies,
             document_count=meta["document_count"],
             average_document_length=meta["average_document_length"],
@@ -1309,7 +1527,8 @@ def open_scoring_snapshot(path: str | os.PathLike) -> IndexSnapshot:
     path = Path(path)
     backing = _V3Backing.open(path)
     try:
-        return _columnar_snapshot(path, backing, documents={})
+        return _columnar_snapshot(path, backing, {},
+                                  backing.doc_lengths_mapping())
     except BaseException:
         backing.close()
         raise

@@ -237,3 +237,51 @@ class TestCompactCommand:
             out = capsys.readouterr().out
             assert "no collection.json" in out
             assert len(out.splitlines()) == 1
+
+
+class TestServeShutdown:
+    def test_sigterm_drains_and_exits_zero_with_sigint_ignored(self):
+        # A server started as a background job inherits an ignored
+        # SIGINT, so Ctrl-C cannot reach it; SIGTERM must still stop it
+        # gracefully (drain, exit 0) instead of killing it mid-batch.
+        import http.client
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        import threading
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "--scale", "0.05", "serve",
+             "--port", "0", "--cache-size", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+        watchdog = threading.Timer(120.0, process.kill)
+        watchdog.start()
+        try:
+            line = process.stdout.readline()
+            match = re.search(r"http://([\d.]+):(\d+)", line)
+            assert match, line + process.stderr.read()
+            connection = http.client.HTTPConnection(
+                match.group(1), int(match.group(2)), timeout=30)
+            connection.request("GET", "/healthz")
+            assert connection.getresponse().status == 200
+            connection.close()
+            process.send_signal(signal.SIGTERM)
+            out, err = process.communicate(timeout=60)
+        finally:
+            watchdog.cancel()
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, err
+        assert "shutting down (draining in-flight batches)" in out

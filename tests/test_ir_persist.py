@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import SnapshotError
+from repro.errors import IndexError_, SnapshotError
 from repro.ir.analysis import Analyzer
 from repro.ir.documents import Document
 from repro.ir.index import InvertedIndex
@@ -382,6 +382,143 @@ class TestDocumentStore:
             load_document_store(tmp_path / "nope.store")
 
 
+def _rewrite_store(path: Path, header: dict, body: list[str]) -> None:
+    """Write a store file with its footer (count, sha256) recomputed —
+    damage no whole-file check can see."""
+    import hashlib
+
+    header_line = json.dumps(header, ensure_ascii=False,
+                             separators=(",", ":")) + "\n"
+    digest = hashlib.sha256()
+    for line in (header_line, *body):
+        digest.update(line.encode("utf-8"))
+    footer = {"t": "end", "records": len(body), "sha256": digest.hexdigest()}
+    path.write_text("".join([header_line, *body,
+                             json.dumps(footer, separators=(",", ":")) + "\n"]),
+                    encoding="utf-8")
+
+
+class TestLazyDocumentStore:
+    """The store verifies the whole file at open and decodes each record
+    on first access."""
+
+    @pytest.fixture()
+    def store_file(self, tmp_path):
+        index = build_index(BODIES)
+        path = save_document_store(
+            DocumentStore.from_snapshot(index.snapshot()),
+            tmp_path / "docs.store")
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        return path, json.loads(lines[0]), lines[1:-1]
+
+    def test_records_decode_on_first_access_once(self, store_file):
+        path, _header, _body = store_file
+        store = load_document_store(path)
+        assert len(store) == len(BODIES) and "b" in store
+        records = store.documents._records
+        assert records.documents == {}
+        first = store.documents["b"]
+        assert store.documents["b"] is first
+        assert list(records.documents) == ["b"]
+        assert store.doc_lengths["c"] > 0  # lengths are not kept
+        assert list(records.documents) == ["b"]
+        # Unknown ids — past the end, or between stored ids — are absent.
+        for missing in ("zz", "bb", "", 7):
+            assert missing not in store.documents
+            with pytest.raises(KeyError):
+                store.documents[missing]
+        assert list(records.documents) == ["b"]
+
+    def test_record_corrupted_under_a_recomputed_checksum(self, store_file):
+        path, header, body = store_file
+        # Same byte length, so the doc_index still tiles the body.
+        body[1] = body[1].replace('"t":"doc"', '"t":"dox"')
+        _rewrite_store(path, header, body)
+        store = load_document_store(path)  # every open-time check passes
+        assert store.documents["a"].doc_id == "a"
+        with pytest.raises(SnapshotError, match=r"record 2 \('b'\)"):
+            store.documents["b"]
+        with pytest.raises(SnapshotError, match=r"record 2 \('b'\)"):
+            dict(store.documents)
+
+    def test_record_that_is_not_json_names_the_record(self, store_file):
+        path, header, body = store_file
+        body[2] = "{" + body[2][1:-2] + "]\n"
+        _rewrite_store(path, header, body)
+        store = load_document_store(path)
+        with pytest.raises(SnapshotError, match=r"record 3 \('c'\) is not "
+                                                r"valid JSON"):
+            store.doc_lengths["c"]
+
+    def test_record_of_another_document_is_caught(self, store_file):
+        path, header, body = store_file
+        # Tiling cannot see a record that claims another document's id
+        # (same byte length); the per-record id check can.
+        body[0] = body[0].replace('"id":"a"', '"id":"b"')
+        _rewrite_store(path, header, body)
+        store = load_document_store(path)
+        with pytest.raises(SnapshotError, match=r"record 1 \('a'\): "
+                                                r"doc_index points at"):
+            store.documents["a"]
+
+    @pytest.mark.parametrize("damage", ["shifted", "overlapping", "dropped",
+                                        "stray", "not_a_pair", "unsorted"])
+    def test_doc_index_that_does_not_tile_raises_at_open(self, store_file,
+                                                         damage):
+        path, header, body = store_file
+        index = header["doc_index"]
+        if damage == "shifted":
+            index["c"][0] += 1
+        elif damage == "overlapping":
+            index["c"][1] += 1
+        elif damage == "dropped":
+            del index["c"]
+        elif damage == "stray":
+            index["zz"] = [0, 3]
+        elif damage == "unsorted":
+            # Records "a" and "b" swap places; the index follows them,
+            # so it tiles the body, but out of doc_id order.
+            body[0], body[1] = body[1], body[0]
+            index["b"] = [0, len(body[0].encode("utf-8"))]
+            index["a"] = [index["b"][1], len(body[1].encode("utf-8"))]
+        else:
+            index["c"] = index["c"][0]
+        _rewrite_store(path, header, body)
+        with pytest.raises(SnapshotError, match="doc_index"):
+            load_document_store(path)
+
+    def test_store_without_doc_index_decodes_eagerly(self, store_file):
+        path, header, body = store_file
+        del header["doc_index"]
+        _rewrite_store(path, header, body)
+        store = load_document_store(path)
+        assert type(store.documents) is dict
+        assert sorted(store.documents) == sorted(BODIES)
+
+    def test_docstore_backed_snapshot_pickles_to_a_plain_one(self, tmp_path):
+        import pickle
+
+        from repro.ir.index import ColumnarIndexSnapshot, IndexSnapshot
+
+        index = build_index(BODIES)
+        snapshot = index.snapshot()
+        save_document_store(DocumentStore.from_snapshot(snapshot),
+                            tmp_path / "docs.store")
+        path = save_snapshot(snapshot, tmp_path / "index.snap",
+                             docstore="docs.store")
+        loaded = load_snapshot(path)
+        assert isinstance(loaded, ColumnarIndexSnapshot)
+        plain = pickle.loads(pickle.dumps(loaded))
+        assert type(plain) is IndexSnapshot
+        assert type(plain._documents) is dict
+        assert plain._documents == dict(index._documents)
+        for query in ("star wars", "ocean"):
+            assert [(hit.doc_id, hit.score) for hit
+                    in Searcher(plain).search(query, limit=5)] == \
+                [(hit.doc_id, hit.score) for hit
+                 in Searcher(snapshot).search(query, limit=5)]
+
+
 class TestDocstoreBackedSnapshots:
     def test_ref_snapshot_round_trips_and_shares_documents(self, tmp_path):
         index = build_index(BODIES)
@@ -400,6 +537,20 @@ class TestDocstoreBackedSnapshots:
                    loaded_store.documents[document.doc_id]
         for term in snapshot.terms():
             assert loaded.postings(term) == snapshot.postings(term)
+
+    def test_snapshot_sees_only_its_own_documents_of_the_store(
+            self, tmp_path):
+        index = build_index(BODIES)
+        save_document_store(DocumentStore.from_snapshot(index.snapshot()),
+                            tmp_path / "docs.store")
+        part = build_index({"a": BODIES["a"], "c": BODIES["c"]})
+        path = save_snapshot(part.snapshot(), tmp_path / "part.snap",
+                             docstore="docs.store")
+        loaded = load_snapshot(path)
+        assert "b" not in loaded and len(loaded) == 2
+        with pytest.raises(IndexError_):
+            loaded.document("b")
+        assert dict(loaded._documents) == dict(part._documents)
 
     def test_ref_snapshot_is_smaller_than_inline(self, tmp_path):
         index = build_index(BODIES)
