@@ -107,8 +107,14 @@ class QunitCollection:
         # SQL — the hot path of entity-heavy (Zipf-head) traffic.
         # Bounded LRU: diverse bindings in a long-running server would
         # otherwise grow it monotonically.
+        # Serving threads share it, so every touch of its order (get +
+        # move_to_end, insert + evict) holds the lock; the SQL does not.
         self._materialized: "OrderedDict[tuple, QunitInstance]" = \
             OrderedDict()
+        self._materialized_lock = threading.Lock()
+        # Document stores opened by CollectionStore.load (one per loaded
+        # generation); close() releases the descriptors they read through.
+        self._document_stores: list = []
         self._global_index: InvertedIndex | None = None
         self._definition_indexes: dict[str, InvertedIndex] = {}
         # Snapshots restored from disk, keyed like searchers (None = the
@@ -214,15 +220,14 @@ class QunitCollection:
     def instance(self, instance_id: str) -> QunitInstance:
         """Look up an instance by id, materializing only that instance.
 
-        An id with exactly one binding among its definition's (bounded)
-        bindings materializes that binding alone, through
-        :meth:`materialize` — the rows :meth:`instances_of` would
-        produce for it, so the answer is identical, but a retrieval hit
-        costs one instance's SQL instead of its whole definition's.  An
-        id shared by several bindings falls back to :meth:`instances_of`
-        (whose last non-empty binding wins); an id with no non-empty
-        binding is looked up among ingested documents
-        (:meth:`_restore_instance`).
+        The id's bindings among its definition's (bounded) bindings are
+        materialized one by one and the last non-empty one wins — the
+        instance :meth:`instances_of` registers for that id, so the
+        answer is identical, but a retrieval hit costs its own bindings'
+        SQL instead of its whole definition's.  The result is cached by
+        id (not in the :meth:`materialize` memo, whose LRU slots belong
+        to fully-bound requests).  An id with no non-empty binding is
+        looked up among ingested documents (:meth:`_restore_instance`).
 
         Raises:
             DerivationError: for ids none of those paths can resolve.
@@ -231,21 +236,20 @@ class QunitCollection:
         if cached is not None:
             return cached
         name = instance_id.split("::", 1)[0]
-        if name in self.definitions and name not in self._instances:
-            bindings = self._bindings_by_id(name).get(instance_id, ())
-            if len(bindings) == 1:
-                instance = self.materialize(name, bindings[0])
+        if name in self.definitions:
+            definition = self.definitions[name]
+            found = None
+            for binding in self._bindings_by_id(name).get(instance_id, ()):
+                instance = definition.materialize(self.database, binding)
                 if not instance.is_empty:
-                    return instance
-            elif bindings:
-                self.instances_of(name)
-        try:
-            return self._instance_by_id[instance_id]
-        except KeyError:
-            restored = self._restore_instance(instance_id)
-            if restored is not None:
-                return restored
-            raise DerivationError(f"unknown qunit instance {instance_id!r}") from None
+                    found = instance
+            if found is not None:
+                self._instance_by_id[instance_id] = found
+                return found
+        restored = self._restore_instance(instance_id)
+        if restored is not None:
+            return restored
+        raise DerivationError(f"unknown qunit instance {instance_id!r}")
 
     def _bindings_by_id(self, name: str) -> dict[str, list[dict]]:
         """``instance_id -> [binding, ...]`` over one definition's bounded
@@ -315,11 +319,13 @@ class QunitCollection:
         """
         try:
             key = (name, tuple(sorted(params.items())))
-            cached = self._materialized.get(key)
+            with self._materialized_lock:
+                cached = self._materialized.get(key)
+                if cached is not None:
+                    self._materialized.move_to_end(key)
         except TypeError:
             key, cached = None, None
         if cached is not None:
-            self._materialized.move_to_end(key)
             return cached
         instance = self.definition(name).materialize(self.database, params)
         if not instance.is_empty:
@@ -327,9 +333,10 @@ class QunitCollection:
             # them too), so instance() must not find them by id.
             self._instance_by_id.setdefault(instance.instance_id, instance)
         if key is not None:
-            self._materialized[key] = instance
-            while len(self._materialized) > self.MAX_MATERIALIZE_MEMO:
-                self._materialized.popitem(last=False)
+            with self._materialized_lock:
+                self._materialized[key] = instance
+                while len(self._materialized) > self.MAX_MATERIALIZE_MEMO:
+                    self._materialized.popitem(last=False)
         return instance
 
     # -- indexes ----------------------------------------------------------------------
@@ -581,13 +588,18 @@ class QunitCollection:
 
     def close(self) -> None:
         """Release shard executors held by pooled searchers (idempotent),
-        including executors parked by generation swaps."""
+        including executors parked by generation swaps, and the
+        descriptors of loaded document stores (documents not yet decoded
+        are unreadable afterwards)."""
         self.searcher_pool.close()
         if self._loaded_sharded is not None:
             self._loaded_sharded.close()
         for sharded in self._retired_sharded:
             sharded.close()
         del self._retired_sharded[:]
+        for store in self._document_stores:
+            store.close()
+        del self._document_stores[:]
 
     def search_many(self, queries: Iterable[str], limit: int = 10,
                     scorer: Scorer | None = None) -> list[list[SearchHit]]:

@@ -888,9 +888,12 @@ class CollectionStore:
 
         def shared_store():
             if not store_cache:
-                store_cache.append(
-                    load_document_store(path / store_name)
-                    if store_name is not None else None)
+                store = None
+                if store_name is not None:
+                    store = load_document_store(path / store_name)
+                    # Closed with the collection (QunitCollection.close).
+                    collection._document_stores.append(store)
+                store_cache.append(store)
             return store_cache[0]
 
         def load_target(key: str | None, file_name: str):

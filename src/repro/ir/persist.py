@@ -278,7 +278,8 @@ class DocumentStore:
     """
 
     def __init__(self, analyzer: Analyzer, documents: Mapping[str, Document],
-                 doc_lengths: Mapping[str, float]):
+                 doc_lengths: Mapping[str, float], *,
+                 records: "_StoreRecords | None" = None):
         """Wrap already-built mappings (no copies are taken).
 
         Args:
@@ -288,10 +289,20 @@ class DocumentStore:
                 (a plain dict, or the decode-on-demand view
                 :func:`load_document_store` builds).
             doc_lengths: ``doc_id -> weighted length``, same keys.
+            records: the file the views read through, for a store
+                :func:`load_document_store` opened (see :meth:`close`).
         """
         self.analyzer = analyzer
         self.documents = documents
         self.doc_lengths = doc_lengths
+        self._records = records
+
+    def close(self) -> None:
+        """Release the descriptor a decode-on-demand store reads its
+        records through (idempotent; a no-op for in-memory stores).
+        Documents already decoded stay readable."""
+        if self._records is not None:
+            self._records.close()
 
     @classmethod
     def from_snapshot(cls, snapshot: IndexSnapshot) -> "DocumentStore":
@@ -396,30 +407,37 @@ class _StoreRecords:
     demand.
 
     Each record is read by offset (``os.pread`` on a descriptor this
-    object owns and closes when it is collected) and decoded on access.
-    Documents are decoded once and published once per id
-    (``dict.setdefault``), so every snapshot — on every thread — shares
-    one :class:`~repro.ir.documents.Document` object per document.
-    Lengths are not kept: the serving path reads them from the snapshot
-    columns, so a length lookup here decodes its record again.  No raw
-    record bytes are kept, and nothing of the file is mapped into the
-    process.
+    object owns: released by :meth:`close`, or when the object is
+    collected) and decoded on access.  Documents are decoded once and
+    published once per id (``dict.setdefault``), so every snapshot — on
+    every thread — shares one :class:`~repro.ir.documents.Document`
+    object per document.  Lengths are not kept: the serving path reads
+    them from the snapshot columns, so a length lookup here decodes its
+    record again.  No raw record bytes are kept, and nothing of the file
+    is mapped into the process.  As a container it holds the store's
+    ids (membership, iteration in doc_id order, length).
     """
 
-    __slots__ = ("path", "_fd", "_ids", "_bounds", "documents",
+    __slots__ = ("path", "_fd", "_release", "_ids", "_bounds", "documents",
                  "__weakref__")
 
     def __init__(self, path: Path, fd: int, ids: list[str],
                  bounds: list[int]):
         self.path = path
         self._fd = fd
-        weakref.finalize(self, os.close, fd)
+        self._release = weakref.finalize(self, os.close, fd)
         #: Record ``i`` holds document ``_ids[i]`` (ascending) at the
         #: file's bytes ``[_bounds[i], _bounds[i + 1])``.
         self._ids = ids
         self._bounds = array("q", bounds)
         #: The decoded documents, published once per id.
         self.documents: dict[str, Document] = {}
+
+    def close(self) -> None:
+        """Release the descriptor (idempotent); records not yet decoded
+        are unreadable afterwards.  Call it once serving has stopped."""
+        self._fd = -1
+        self._release()
 
     def index(self, doc_id: str) -> int:
         """The record index of ``doc_id``; ``KeyError`` if absent."""
@@ -431,12 +449,31 @@ class _StoreRecords:
             raise KeyError(doc_id)
         return index
 
+    def __contains__(self, doc_id) -> bool:
+        try:
+            if doc_id in self.documents:  # decoded: skip the bisect
+                return True
+            self.index(doc_id)
+        except (KeyError, TypeError):
+            return False
+        return True
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
     def decode(self, doc_id: str) -> tuple[str, Document, float]:
         """Read and decode one record (``KeyError`` for unknown ids)."""
         index = self.index(doc_id)
         start = self._bounds[index]
+        fd = self._fd
+        if fd < 0:
+            raise SnapshotError(
+                f"document store {str(self.path)!r} is closed")
         try:
-            raw = os.pread(self._fd, self._bounds[index + 1] - start, start)
+            raw = os.pread(fd, self._bounds[index + 1] - start, start)
         except OSError as exc:
             raise SnapshotError(
                 f"cannot read snapshot file {str(self.path)!r}: "
@@ -456,33 +493,35 @@ class _StoreRecords:
         return self.decode(doc_id)[2]
 
 
-class _LazyStoreColumn(Mapping):
-    """One column (``document`` or ``length``) of a :class:`_StoreRecords`
-    as a mapping: keys come from the verified ``doc_index``, values from
-    the records on access.  Pickles as a plain dict — the open descriptor
+class _StoreView(Mapping):
+    """A read-only ``doc_id -> value`` mapping: keys are the members of
+    ``keys`` (a :class:`_StoreRecords`, or one snapshot's own
+    ``doc_id -> length`` dict, shared rather than copied), values come
+    from ``value(doc_id)`` on access.  It serves as a loaded store's
+    ``documents`` and ``doc_lengths`` and as each docstore-backed
+    snapshot's documents, so every snapshot hands out the store's own
+    decoded-once objects.  Pickles as a plain dict — an open descriptor
     does not cross processes."""
 
-    __slots__ = ("_records", "_value")
+    __slots__ = ("_value", "_keys")
 
-    def __init__(self, records: _StoreRecords, value):
-        self._records = records
+    def __init__(self, value, keys):
         self._value = value
+        self._keys = keys
 
     def __getitem__(self, doc_id: str):
+        if doc_id not in self._keys:
+            raise KeyError(doc_id)
         return self._value(doc_id)
 
     def __iter__(self):
-        return iter(self._records._ids)
+        return iter(self._keys)
 
     def __len__(self) -> int:
-        return len(self._records._ids)
+        return len(self._keys)
 
     def __contains__(self, doc_id) -> bool:
-        try:
-            self._records.index(doc_id)
-        except KeyError:
-            return False
-        return True
+        return doc_id in self._keys
 
     def __reduce__(self):
         return (dict, (dict(self),))
@@ -589,8 +628,9 @@ def load_document_store(path: str | os.PathLike) -> DocumentStore:
     analyzer = Analyzer.from_config(header.get("analyzer", {}))
     if doc_index is not None:
         return DocumentStore(analyzer,
-                             _LazyStoreColumn(records, records.document),
-                             _LazyStoreColumn(records, records.length))
+                             _StoreView(records.document, records),
+                             _StoreView(records.length, records),
+                             records=records)
     # A store written before the offset index existed: decode it all now.
     documents: dict[str, Document] = {}
     doc_lengths: dict[str, float] = {}
@@ -1335,38 +1375,6 @@ class _LazyDocuments(Mapping):
         return (dict, (dict(self),))
 
 
-class _StoreSubset(Mapping):
-    """``doc_id -> Document`` for the docstore layout: one snapshot's ids
-    over the generation's shared store mapping, so every snapshot hands
-    out the store's own (decoded-once) objects.  The ids are the keys of
-    ``members`` — the snapshot's own ``doc_id -> length`` dict, shared
-    rather than copied.  Pickles as a plain dict."""
-
-    __slots__ = ("_documents", "_members")
-
-    def __init__(self, documents: Mapping[str, Document],
-                 members: Mapping[str, float]):
-        self._documents = documents
-        self._members = members
-
-    def __getitem__(self, doc_id: str) -> Document:
-        if doc_id not in self._members:
-            raise KeyError(doc_id)
-        return self._documents[doc_id]
-
-    def __iter__(self):
-        return iter(self._members)
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, doc_id) -> bool:
-        return doc_id in self._members
-
-    def __reduce__(self):
-        return (dict, (dict(self),))
-
-
 # -- snapshot readers --------------------------------------------------------
 
 
@@ -1476,7 +1484,7 @@ def _v3_documents(path: Path, backing: _V3Backing,
                 raise _corrupt(
                     path, f"document {doc_id!r} is not in the document "
                           f"store")
-        return _StoreSubset(store.documents, doc_lengths)
+        return _StoreView(store.documents.__getitem__, doc_lengths)
     return _LazyDocuments(backing)
 
 

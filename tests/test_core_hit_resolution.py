@@ -1,6 +1,6 @@
 """Resolving a retrieval hit to its instance after a load.
 
-``QunitCollection.instance`` materializes only the hit's own binding, and
+``QunitCollection.instance`` materializes only the hit's own bindings, and
 the loaded document store decodes only the documents a query touches.
 These tests hold the resolved instance to the one ``instances_of`` builds
 (id, params, row order, text, atoms) for every saved document of all five
@@ -30,7 +30,7 @@ from repro.core.store import CollectionStore, LoadOptions, SaveOptions
 from repro.datasets.evidence import generate_wiki_corpus
 from repro.datasets.imdb import generate_imdb
 from repro.datasets.querylog import QueryLogGenerator
-from repro.errors import DerivationError
+from repro.errors import DerivationError, SnapshotError
 from repro.ir import persist
 from repro.ir.retrieval import Searcher
 
@@ -95,35 +95,36 @@ def test_every_saved_document_resolves_to_its_instances_of_instance(
         for doc_id in doc_ids:
             assert _identity(loaded.instance(doc_id)) == \
                 _identity(reference[doc_id])
-        # Only an id shared by several bindings enumerates its
-        # definition; none of these collections has one.
-        shared = [name for name in loaded.definitions
-                  if any(len(bindings) > 1 for bindings
-                         in loaded._bindings_by_id(name).values())]
-        assert sorted(set(enumerated)) == sorted(shared) == []
+        assert enumerated == []
+        # Hits are cached by id, never in the fully-bound memo.
+        assert len(loaded._materialized) == 0
         loaded.close()
 
 
-def test_id_shared_by_two_bindings_falls_back_to_instances_of(mini_db):
+def test_id_shared_by_two_bindings_resolves_like_instances_of(
+        mini_db, refuse_enumeration):
     # "Dan O'Brien" and "Dan OBrien" are distinct bindings (different
     # normal forms) with one instance_id: the last non-empty one wins,
-    # exactly as instances_of registers them.
+    # exactly as instances_of registers them — without enumerating the
+    # definition.
     mini_db.insert("person", {"id": 4, "name": "Dan O'Brien"})
     mini_db.insert("person", {"id": 5, "name": "Dan OBrien"})
     person_page = QunitDefinition(
         name="person_page",
         base_sql='SELECT * FROM person WHERE person.name = "$x"',
         binders=(ParamBinder("x", "person", "name"),))
+    reference = {instance.instance_id: instance for instance
+                 in QunitCollection(mini_db, [person_page])
+                 .instances_of("person_page")}
     collection = QunitCollection(mini_db, [person_page])
+    refuse_enumeration()
     bindings = collection._bindings_by_id("person_page")
     assert len(bindings["person_page::dan_obrien"]) == 2
     resolved = collection.instance("person_page::dan_obrien")
     assert resolved.params == {"x": "Dan OBrien"}
-    reference = {instance.instance_id: instance for instance
-                 in QunitCollection(mini_db, [person_page])
-                 .instances_of("person_page")}
     assert _identity(resolved) == \
         _identity(reference["person_page::dan_obrien"])
+    assert collection.instance("person_page::dan_obrien") is resolved
 
 
 def test_empty_binding_is_not_an_answer(mini_db):
@@ -239,6 +240,50 @@ def test_threads_resolving_one_loaded_store_share_each_document(
         assert seen[0][doc_id] is snapshot.document(doc_id)
 
 
+def test_threads_overflowing_the_materialize_memo(db):
+    # Fully-bound requests on serving threads share one bounded LRU memo;
+    # an eviction by one thread must never fail another's hit.  A tiny
+    # memo over a few bindings keeps hits and evictions interleaving.
+    definitions = imdb_expert_qunits()
+    bindings = [(definition, binding) for definition in definitions
+                for binding in definition.bindings(db)[:2]]
+    reference = [_identity(definition.materialize(db, binding))
+                 for definition, binding in bindings]
+    collection = QunitCollection(db, definitions)
+    collection.MAX_MATERIALIZE_MEMO = 4
+    start = threading.Barrier(4)
+    failures: list = []
+
+    def worker(offset: int) -> None:
+        start.wait()
+        order = list(range(offset, len(bindings))) + list(range(offset))
+        try:
+            for _ in range(100):
+                instances = [collection.materialize(bindings[i][0].name,
+                                                    bindings[i][1])
+                             for i in order]
+        except Exception as exc:  # noqa: BLE001 — reported below
+            failures.append(exc)
+            return
+        failures.extend(i for i, instance in zip(order, instances)
+                        if _identity(instance) != reference[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(offset * 3,))
+                   for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(collection._materialized) == 4
+
+
 class TestServingAfterLoad:
     """After a load, every kind of request resolves its answers per hit."""
 
@@ -314,3 +359,24 @@ class TestServingAfterLoad:
         assert 0 < len(decoded) <= len(fetched)
         assert set(decoded) <= {hit.doc_id for hit in fetched}
         engine.collection.close()
+
+    def test_close_releases_the_store_descriptor(self, saved):
+        db, store, _ = saved
+        collection = store.load(db)
+        engine = QunitSearchEngine(collection, flavor="expert")
+        assert engine.execute([SearchRequest(query="star wars cast")]
+                              )[0].answers
+        [document_store] = collection._document_stores
+        records = document_store._records
+        assert records._release.alive
+        decoded = dict(records.documents)
+        undecoded = next(doc_id for doc_id in records
+                         if doc_id not in decoded)
+        collection.close()
+        assert collection._document_stores == []
+        assert not records._release.alive and records._fd == -1
+        collection.close()  # idempotent
+        for doc_id, document in decoded.items():
+            assert document_store.documents[doc_id] is document
+        with pytest.raises(SnapshotError, match="is closed"):
+            document_store.documents[undecoded]

@@ -415,7 +415,7 @@ class TestLazyDocumentStore:
         path, _header, _body = store_file
         store = load_document_store(path)
         assert len(store) == len(BODIES) and "b" in store
-        records = store.documents._records
+        records = store._records
         assert records.documents == {}
         first = store.documents["b"]
         assert store.documents["b"] is first
